@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn shards_are_actually_used() {
         let r = ShardedRegistry::new(8, SimDuration::from_secs(1));
-        let mut hit = vec![false; 8];
+        let mut hit = [false; 8];
         for id in 0..64u64 {
             hit[r.shard_of(ServiceId(id))] = true;
         }

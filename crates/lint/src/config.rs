@@ -15,10 +15,11 @@
 //! allow = ["sim-wall-clock"]
 //! ```
 //!
-//! Crate names are the directory names under `crates/`; files outside
-//! `crates/` (the root package's `src/`, `examples/`, `tests/`) belong to
-//! the pseudo-crate `"root"`. Unknown rule ids in the config are hard
-//! errors — a typo must not silently allow nothing.
+//! Crate names are the directory names under `crates/`, and a top-level
+//! package directory outside it (`e2ebench/`) is a crate of its own name;
+//! the root package's `src/`, `examples/`, `tests/` and top-level files
+//! belong to the pseudo-crate `"root"`. Unknown rule ids in the config are
+//! hard errors — a typo must not silently allow nothing.
 
 use std::collections::BTreeMap;
 
@@ -112,9 +113,11 @@ impl Config {
 
     /// The crate a workspace-relative path belongs to.
     pub fn crate_of(rel_path: &str) -> &str {
+        const ROOT_PACKAGE_DIRS: [&str; 3] = ["src", "tests", "examples"];
         let mut segs = rel_path.split('/');
         match (segs.next(), segs.next()) {
             (Some("crates"), Some(name)) => name,
+            (Some(dir), Some(_)) if !ROOT_PACKAGE_DIRS.contains(&dir) => dir,
             _ => "root",
         }
     }
@@ -154,6 +157,13 @@ mod tests {
         assert_eq!(Config::crate_of("crates/net/src/network.rs"), "net");
         assert_eq!(Config::crate_of("src/lib.rs"), "root");
         assert_eq!(Config::crate_of("examples/chaos.rs"), "root");
+        assert_eq!(Config::crate_of("tests/full_stack.rs"), "root");
+        assert_eq!(Config::crate_of("build.rs"), "root");
+        assert_eq!(Config::crate_of("e2ebench/src/probe.rs"), "e2ebench");
+        assert_eq!(
+            Config::crate_of("e2ebench/tests/traced_matches_untraced.rs"),
+            "e2ebench"
+        );
     }
 
     #[test]

@@ -47,6 +47,12 @@ pub struct Medium {
     /// tail kept for interference integration.
     txs: Vec<Transmission>,
     next_id: u64,
+    /// Carrier-sense watermark: every transmission in `txs[..sensed_floor]`
+    /// had ended by `sensed_at`, the latest carrier-sense instant, so a
+    /// query at or after that instant can skip them. `txs` only grows at
+    /// the end between prunes, which keeps the prefix valid.
+    sensed_floor: usize,
+    sensed_at: SimTime,
 }
 
 impl Medium {
@@ -73,6 +79,7 @@ impl Medium {
     /// overlap anything in flight).
     pub fn prune(&mut self, horizon: SimTime) {
         self.txs.retain(|t| t.end >= horizon);
+        self.sensed_floor = 0;
     }
 
     /// Number of retained transmissions (pruned ones excluded).
@@ -87,15 +94,26 @@ impl Medium {
     /// own transmission (if any) also counts — a radio cannot decrement
     /// backoff while its own PA is on.
     pub fn busy_for(
-        &self,
+        &mut self,
         env: &RadioEnvironment,
         listener: NodeId,
         pos: Point,
         channel: Channel,
         now: SimTime,
     ) -> Option<SimTime> {
+        if now < self.sensed_at {
+            self.sensed_floor = 0;
+        }
+        self.sensed_at = now;
+        while self
+            .txs
+            .get(self.sensed_floor)
+            .is_some_and(|t| t.end <= now)
+        {
+            self.sensed_floor += 1;
+        }
         let mut latest: Option<SimTime> = None;
-        for t in &self.txs {
+        for t in &self.txs[self.sensed_floor..] {
             // A transmission starting at this very instant is not sensible
             // yet (zero propagation delay would otherwise serialise slot
             // collisions out of existence — the slot-granularity collisions

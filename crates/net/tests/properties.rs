@@ -3,8 +3,12 @@
 
 use aroma_env::radio::{Channel, RadioEnvironment};
 use aroma_env::space::Point;
-use aroma_net::{Address, MacConfig, NetApp, NetCtx, Network, NodeConfig, NodeId};
-use aroma_sim::SimDuration;
+use aroma_net::medium::{Medium, Transmission, TxId};
+use aroma_net::phy::CS_THRESHOLD_DBM;
+use aroma_net::{
+    Address, Frame, FrameKind, MacConfig, NetApp, NetCtx, Network, NodeConfig, NodeId, Rate,
+};
+use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -184,6 +188,90 @@ proptest! {
         );
         net.run_for(SimDuration::from_secs(1));
         prop_assert_eq!(net.app_as::<Recorder>(rx).unwrap().received.len(), 0);
+    }
+}
+
+/// Carrier sense by a full scan of every retained transmission: the
+/// reference for `Medium::busy_for`, which skips a watermarked prefix.
+fn busy_reference(
+    txs: &[Transmission],
+    env: &RadioEnvironment,
+    listener: NodeId,
+    pos: Point,
+    channel: Channel,
+    now: SimTime,
+) -> Option<SimTime> {
+    txs.iter()
+        .filter(|t| t.start < now && now < t.end)
+        .filter(|t| {
+            let overlap = channel.overlap(t.channel);
+            t.src == listener
+                || overlap > 0.0
+                    && env.received_dbm(t.tx_dbm, t.src.key(), t.src_pos, listener.key(), pos)
+                        + 10.0 * overlap.log10()
+                        >= CS_THRESHOLD_DBM
+        })
+        .map(|t| t.end)
+        .max()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `busy_for` answers exactly what a full scan answers, over random
+    /// transmissions (short and long, on overlapping channels, some
+    /// starting later than the clock), non-decreasing query times and
+    /// interleaved prunes.
+    #[test]
+    fn busy_for_matches_full_scan(
+        ops in prop::collection::vec(
+            (0u8..10, 0u32..6, 0.0f64..80.0, 1u8..=11, 0u64..3_000, 1u64..40_000),
+            1..300,
+        ),
+    ) {
+        let env = quiet();
+        let mut medium = Medium::new();
+        let mut mirror: Vec<Transmission> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for (kind, node, x, ch, dt, len) in ops {
+            now += SimDuration::from_nanos(dt);
+            let (src, pos, channel) = (NodeId(node), Point::new(x, 0.0), Channel::new(ch));
+            match kind {
+                0..=5 => {
+                    // Data frames start now, ACKs a SIFS later.
+                    let start = now + SimDuration::from_nanos(if kind == 0 { 10_000 } else { 0 });
+                    let mut tx = Transmission {
+                        id: TxId(0),
+                        src,
+                        src_pos: pos,
+                        channel,
+                        tx_dbm: 15.0,
+                        rate: Rate::R2,
+                        start,
+                        end: start + SimDuration::from_nanos(len),
+                        frame: Frame {
+                            src,
+                            dst: Address::Broadcast,
+                            kind: FrameKind::Data,
+                            seq: 0,
+                            payload: Bytes::new(),
+                        },
+                    };
+                    tx.id = medium.begin(tx.clone());
+                    mirror.push(tx);
+                }
+                6..=8 => {
+                    let want = busy_reference(&mirror, &env, src, pos, channel, now);
+                    prop_assert_eq!(medium.busy_for(&env, src, pos, channel, now), want);
+                }
+                _ => {
+                    let horizon = SimTime::from_nanos(now.as_nanos().saturating_sub(len));
+                    medium.prune(horizon);
+                    mirror.retain(|t| t.end >= horizon);
+                    prop_assert_eq!(medium.retained(), mirror.len());
+                }
+            }
+        }
     }
 }
 

@@ -103,9 +103,16 @@ fn get_service(b: &mut Bytes) -> Option<Service> {
     }
 }
 
+/// Write `s` behind a u16 length prefix. A string longer than the prefix
+/// can count is cut at the last char boundary that fits, so the prefix
+/// always matches the body and the body stays valid UTF-8.
 fn put_str(b: &mut BytesMut, s: &str) {
-    b.put_u16(s.len() as u16);
-    b.put_slice(s.as_bytes());
+    let mut len = s.len().min(u16::MAX as usize);
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    b.put_u16(len as u16);
+    b.put_slice(&s.as_bytes()[..len]);
 }
 
 fn get_str(b: &mut Bytes) -> Option<String> {
@@ -165,38 +172,40 @@ impl CtlMsg {
         b.freeze()
     }
 
-    /// Decode from wire bytes.
+    /// Decode from wire bytes. Strict: a message must fill `b` exactly
+    /// (trailing bytes are rejected), and a command without an argument
+    /// must carry a zero argument byte.
     pub fn decode(mut b: Bytes) -> Option<CtlMsg> {
         if b.remaining() < 2 || b.get_u8() != PROTO_CONTROL {
             return None;
         }
-        match b.get_u8() {
-            TAG_ACQUIRE => Some(CtlMsg::Acquire {
+        let msg = match b.get_u8() {
+            TAG_ACQUIRE => CtlMsg::Acquire {
                 service: get_service(&mut b)?,
-            }),
+            },
             TAG_GRANTED => {
                 let service = get_service(&mut b)?;
                 if b.remaining() < 8 {
                     return None;
                 }
-                Some(CtlMsg::Granted {
+                CtlMsg::Granted {
                     service,
                     token: b.get_u64(),
-                })
+                }
             }
-            TAG_DENIED => Some(CtlMsg::Denied {
+            TAG_DENIED => CtlMsg::Denied {
                 service: get_service(&mut b)?,
                 reason: get_str(&mut b)?,
-            }),
+            },
             TAG_RELEASE => {
                 let service = get_service(&mut b)?;
                 if b.remaining() < 8 {
                     return None;
                 }
-                Some(CtlMsg::Release {
+                CtlMsg::Release {
                     service,
                     token: b.get_u64(),
-                })
+                }
             }
             TAG_COMMAND => {
                 if b.remaining() < 10 {
@@ -206,20 +215,21 @@ impl CtlMsg {
                 let kind = b.get_u8();
                 let arg = b.get_u8();
                 let cmd = match kind {
-                    0 => ProjectorCommand::PowerOn,
-                    1 => ProjectorCommand::PowerOff,
+                    0 if arg == 0 => ProjectorCommand::PowerOn,
+                    1 if arg == 0 => ProjectorCommand::PowerOff,
                     2 => ProjectorCommand::SelectInput(arg),
                     3 => ProjectorCommand::Brightness(arg),
                     _ => return None,
                 };
-                Some(CtlMsg::Command { token, cmd })
+                CtlMsg::Command { token, cmd }
             }
-            TAG_COMMAND_OK => Some(CtlMsg::CommandOk),
-            TAG_COMMAND_DENIED => Some(CtlMsg::CommandDenied {
+            TAG_COMMAND_OK => CtlMsg::CommandOk,
+            TAG_COMMAND_DENIED => CtlMsg::CommandDenied {
                 reason: get_str(&mut b)?,
-            }),
-            _ => None,
-        }
+            },
+            _ => return None,
+        };
+        (b.remaining() == 0).then_some(msg)
     }
 }
 
@@ -227,9 +237,8 @@ impl CtlMsg {
 mod tests {
     use super::*;
 
-    #[test]
-    fn all_variants_round_trip() {
-        let msgs = vec![
+    fn all_variants() -> Vec<CtlMsg> {
+        vec![
             CtlMsg::Acquire {
                 service: Service::Projection,
             },
@@ -257,12 +266,20 @@ mod tests {
                 token: 7,
                 cmd: ProjectorCommand::PowerOn,
             },
+            CtlMsg::Command {
+                token: 7,
+                cmd: ProjectorCommand::PowerOff,
+            },
             CtlMsg::CommandOk,
             CtlMsg::CommandDenied {
                 reason: "bad token".into(),
             },
-        ];
-        for m in msgs {
+        ]
+    }
+
+    #[test]
+    fn all_variants_round_trip() {
+        for m in all_variants() {
             assert_eq!(CtlMsg::decode(m.encode()), Some(m));
         }
     }
@@ -273,6 +290,47 @@ mod tests {
         let mut wrong = m.to_vec();
         wrong[0] = 0xD1;
         assert_eq!(CtlMsg::decode(Bytes::from(wrong)), None);
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        for m in all_variants() {
+            let mut long = m.encode().to_vec();
+            long.push(0);
+            assert_eq!(CtlMsg::decode(Bytes::from(long)), None, "{m:?} + 1 byte");
+        }
+    }
+
+    #[test]
+    fn argument_on_argless_command_rejected() {
+        for (kind, cmd) in [
+            (0u8, ProjectorCommand::PowerOn),
+            (1, ProjectorCommand::PowerOff),
+        ] {
+            let mut wire = CtlMsg::Command { token: 7, cmd }.encode().to_vec();
+            assert_eq!(wire[wire.len() - 2..], [kind, 0]);
+            *wire.last_mut().expect("command has an argument byte") = 1;
+            assert_eq!(
+                CtlMsg::decode(Bytes::from(wire)),
+                None,
+                "{cmd:?} with arg 1"
+            );
+        }
+    }
+
+    #[test]
+    fn overlong_reason_keeps_prefix_and_body_in_step() {
+        // 'é' is two bytes: 40,000 of them straddle the u16 limit mid-char.
+        let reason = "é".repeat(40_000);
+        let wire = CtlMsg::CommandDenied {
+            reason: reason.clone(),
+        }
+        .encode();
+        let Some(CtlMsg::CommandDenied { reason: got }) = CtlMsg::decode(wire) else {
+            panic!("an overlong reason must still encode a decodable message");
+        };
+        assert_eq!(got.len(), u16::MAX as usize - 1);
+        assert!(reason.starts_with(&got));
     }
 
     #[test]

@@ -21,6 +21,34 @@
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for the queue's own sequence numbers: one multiply by an odd
+/// constant, a bijection whose low bits (the bucket index) stay distinct
+/// for consecutive keys. The keys are a counter the queue issues itself,
+/// never input from outside, so SipHash's collision resistance buys
+/// nothing here.
+#[derive(Default)]
+struct SeqHasher(u64);
+
+impl Hasher for SeqHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the event queue hashes only u64 sequence numbers");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, seq: u64) {
+        self.0 = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of sequence numbers.
+type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -70,9 +98,9 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Ids cancelled while still buried in the heap (purged on surfacing).
-    cancelled: HashSet<u64>,
+    cancelled: SeqSet,
     /// Ids currently live in the heap: scheduled, not yet fired or cancelled.
-    pending: HashSet<u64>,
+    pending: SeqSet,
     now: SimTime,
     next_seq: u64,
     late_schedules: u64,
@@ -91,8 +119,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            pending: HashSet::new(),
+            cancelled: SeqSet::default(),
+            pending: SeqSet::default(),
             now: SimTime::ZERO,
             next_seq: 0,
             late_schedules: 0,
@@ -246,6 +274,9 @@ impl<E> EventQueue<E> {
     }
 
     fn skip_cancelled(&mut self) {
+        if self.cancelled.is_empty() {
+            return;
+        }
         while let Some(Reverse(e)) = self.heap.peek() {
             if self.cancelled.remove(&e.seq) {
                 self.heap.pop();

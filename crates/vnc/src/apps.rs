@@ -99,10 +99,9 @@ pub struct VncServerApp {
     /// `(generation, hashes)` of recent previous generations, oldest
     /// first, for incremental diffs against lagging viewers.
     history: VecDeque<(u64, Vec<u64>)>,
-    /// Instant of the last render. Renders are idempotent per simulated
-    /// instant, so a burst of requests at one time renders (and hashes)
-    /// once.
-    last_render_at: Option<SimTime>,
+    /// Source frame held in `fb`. Equal frames render identical pixels,
+    /// so requests render (and hash) only when the frame moves on.
+    rendered_frame: Option<u64>,
     /// Encodings already built against the current generation.
     encodings: Vec<CachedEncoding>,
     next_update_id: u32,
@@ -148,7 +147,7 @@ impl VncServerApp {
             generation: 0,
             cur_hashes,
             history: VecDeque::new(),
-            last_render_at: None,
+            rendered_frame: None,
             encodings: Vec::new(),
             next_update_id: 0,
             viewers: Vec::new(),
@@ -216,11 +215,12 @@ impl VncServerApp {
         i
     }
 
-    /// Render the screen for this instant (idempotent: one render and one
-    /// hash pass per simulated time, no matter how many viewers ask), and
-    /// bump the generation if the content changed.
+    /// Render the screen for this instant (one render and one hash pass
+    /// per source frame, no matter how many viewers ask or how often),
+    /// and bump the generation if the content changed.
     fn render_current(&mut self, ctx: &mut NetCtx<'_>) {
-        if self.last_render_at == Some(ctx.now()) {
+        let frame = self.source.frame(ctx.now());
+        if self.rendered_frame == Some(frame) {
             return;
         }
         // Pipeline stage timing is wall clock: in a discrete-event world
@@ -251,7 +251,7 @@ impl VncServerApp {
         } else {
             self.pool.put_hashes(hashes);
         }
-        self.last_render_at = Some(ctx.now());
+        self.rendered_frame = Some(frame);
         if let Some(t) = t0 {
             ctx.telemetry()
                 .profile("vnc.render", t.elapsed().as_nanos() as u64);
@@ -501,7 +501,7 @@ impl NetApp for VncServerApp {
         self.ready.clear();
         self.encodings.clear();
         self.history.clear();
-        self.last_render_at = None;
+        self.rendered_frame = None;
         self.pool.clear();
     }
 }
@@ -902,7 +902,7 @@ mod tests {
 
     #[test]
     fn animation_keeps_sending_content() {
-        let (mut net, _server, viewer) = pair(Box::new(BouncingBox::new()), 320, 240, 3);
+        let (mut net, server, viewer) = pair(Box::new(BouncingBox::new()), 320, 240, 3);
         net.run_for(SimDuration::from_secs(3));
         let v = net.app_as::<VncViewerApp>(viewer).unwrap();
         assert!(v.updates_completed > 5);
@@ -912,6 +912,70 @@ mod tests {
             "content {} of {}",
             v.frames_with_content,
             v.updates_completed
+        );
+        // A moving screen renders and encodes on every request, each
+        // taking its scratch buffers from the pool and returning them.
+        let (hits, misses) = net.app_as::<VncServerApp>(server).unwrap().pool_stats();
+        assert!(hits > misses, "buffer pool never reached steady state");
+    }
+
+    /// Render on frame change: a slide deck pulled at 10 fps renders once
+    /// per slide, not once per request, and a crash-restart (which forgets
+    /// the rendered frame) still ends with the viewer showing the
+    /// server's screen.
+    #[test]
+    fn slide_deck_renders_once_per_slide_and_converges_after_restart() {
+        use aroma_sim::faults::FaultSchedule;
+        use aroma_sim::telemetry::TelemetryConfig;
+        let renders = |net: &Network| {
+            let snap = net.telemetry_snapshot().expect("telemetry attached");
+            snap.profile
+                .iter()
+                .find(|p| p.name == "vnc.render")
+                .map_or(0, |p| p.calls)
+        };
+        let mut net = Network::new(quiet(), MacConfig::default(), 23);
+        let server = net.add_node(
+            NodeConfig::at(Point::new(0.0, 0.0)),
+            Box::new(VncServerApp::new(320, 240, Box::new(SlideDeck::new(1.0)))),
+        );
+        let viewer = net.add_node(
+            NodeConfig::at(Point::new(4.0, 0.0)),
+            Box::new(VncViewerApp::new(server, 320, 240).with_target_fps(10.0)),
+        );
+        net.attach_telemetry(TelemetryConfig::default());
+        // The server is down from 5.3 s to 5.6 s, inside slide 5.
+        let schedule = FaultSchedule::builder(5)
+            .crash_restart(
+                SimDuration::from_millis(5_300).as_nanos(),
+                SimDuration::from_millis(5_600).as_nanos(),
+                server.0,
+            )
+            .build();
+        net.attach_faults(&schedule);
+
+        net.run_for(SimDuration::from_millis(4_500));
+        let v = net.app_as::<VncViewerApp>(viewer).unwrap();
+        assert!(
+            v.updates_completed >= 40,
+            "only {} pulls",
+            v.updates_completed
+        );
+        assert_eq!(renders(&net), 5, "slides 0-4 must render once each");
+        let s = net.app_as::<VncServerApp>(server).unwrap();
+        assert_eq!(v.screen_digest(), s.screen_digest());
+
+        net.run_for(SimDuration::from_secs(8));
+        // Slides 0-12 at most once each, plus at most one re-render of
+        // slide 5 after the restart.
+        assert!(renders(&net) <= 14, "{} renders", renders(&net));
+        let s = net.app_as::<VncServerApp>(server).unwrap();
+        let v = net.app_as::<VncViewerApp>(viewer).unwrap();
+        assert!(v.recoveries >= 1, "the crash went unnoticed");
+        assert_eq!(
+            v.screen_digest(),
+            s.screen_digest(),
+            "viewer never converged"
         );
     }
 
@@ -1205,8 +1269,6 @@ mod tests {
             s.updates_sent
         );
         assert!(s.encode_cache_hits > s.encodes, "cache never took over");
-        let (hits, misses) = s.pool_stats();
-        assert!(hits > misses, "buffer pool never reached steady state");
         for &vid in &viewers {
             let v = net.app_as::<VncViewerApp>(vid).unwrap();
             assert!(v.updates_completed >= 1);

@@ -104,19 +104,30 @@ impl Framebuffer {
         }
     }
 
-    /// Content hash of tile `(tx, ty)` (FNV-1a over its pixel bytes).
+    /// Content hash of tile `(tx, ty)`, for equality tests between
+    /// renders only (it never reaches an output; [`Framebuffer::digest`]
+    /// is the stable content digest).
+    ///
+    /// Four pixels make one `u64` word, folded in with one
+    /// rotate-xor-multiply step. Each step is a bijection of the state for
+    /// a fixed word and of the word for a fixed state, so a change confined
+    /// to one word — any single-bit change — always changes the hash. The
+    /// rotate keeps a top-bit flip from passing through the multiply
+    /// unmixed, where a second top-bit flip in a later word would cancel
+    /// it.
     pub fn tile_hash(&self, tx: usize, ty: usize) -> u64 {
+        const K: u64 = 0x517C_C1B7_2722_0A95;
         let x0 = tx * TILE;
         let y0 = ty * TILE;
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut h: u64 = 0;
         for row in 0..TILE {
             let src = (y0 + row) * self.width + x0;
-            for &px in &self.pixels[src..src + TILE] {
-                // Inline FNV over the two bytes of each pixel.
-                for b in px.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x100_0000_01B3);
-                }
+            for px in self.pixels[src..src + TILE].chunks_exact(4) {
+                let word = u64::from(px[0])
+                    | u64::from(px[1]) << 16
+                    | u64::from(px[2]) << 32
+                    | u64::from(px[3]) << 48;
+                h = (h.rotate_left(5) ^ word).wrapping_mul(K);
             }
         }
         h
@@ -212,6 +223,22 @@ mod tests {
         assert!(out.iter().all(|&v| v == 0));
     }
 
+    /// A `side`×`side` screen of varied pixels, so a flip is never masked
+    /// by a uniform background.
+    fn patterned(side: usize) -> Framebuffer {
+        let mut fb = Framebuffer::new(side, side);
+        for y in 0..side {
+            for x in 0..side {
+                fb.set(
+                    x,
+                    y,
+                    (x as u16).wrapping_mul(0x9E37) ^ (y as u16).wrapping_mul(0x7F4B),
+                );
+            }
+        }
+        fb
+    }
+
     #[test]
     fn tile_hash_detects_single_pixel_change() {
         let mut fb = Framebuffer::new(64, 64);
@@ -220,6 +247,40 @@ mod tests {
         assert_ne!(fb.tile_hash(1, 1), before);
         // Other tiles unaffected.
         assert_eq!(fb.tile_hash(0, 0), Framebuffer::new(64, 64).tile_hash(0, 0));
+        // Every single-bit change anywhere in a tile changes its hash.
+        let mut fb = patterned(32);
+        let before = fb.tile_hash(1, 1);
+        for y in TILE..2 * TILE {
+            for x in TILE..2 * TILE {
+                let px = fb.get(x, y);
+                for bit in 0..16 {
+                    fb.set(x, y, px ^ (1 << bit));
+                    assert_ne!(fb.tile_hash(1, 1), before, "bit {bit} of ({x},{y})");
+                }
+                fb.set(x, y, px);
+            }
+        }
+    }
+
+    #[test]
+    fn tile_hash_top_bit_flips_in_two_words_do_not_cancel() {
+        // Bit 15 of a word's fourth pixel is the word's top bit: a plain
+        // `(h ^ word) * K` hash carries its flip unchanged to every later
+        // step, so a second such flip cancels it. Try every pair of words.
+        let tops: Vec<(usize, usize)> = (0..TILE)
+            .flat_map(|y| (3..TILE).step_by(4).map(move |x| (x, y)))
+            .collect();
+        for base in [Framebuffer::new(TILE, TILE), patterned(TILE)] {
+            let before = base.tile_hash(0, 0);
+            for (i, &(xa, ya)) in tops.iter().enumerate() {
+                for &(xb, yb) in &tops[i + 1..] {
+                    let mut fb = base.clone();
+                    fb.set(xa, ya, fb.get(xa, ya) ^ 0x8000);
+                    fb.set(xb, yb, fb.get(xb, yb) ^ 0x8000);
+                    assert_ne!(fb.tile_hash(0, 0), before, "({xa},{ya}) + ({xb},{yb})");
+                }
+            }
+        }
     }
 
     #[test]

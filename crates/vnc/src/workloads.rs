@@ -12,6 +12,11 @@ use aroma_sim::{SimRng, SimTime};
 pub trait ScreenSource {
     /// Render the screen as of time `t` into `fb`.
     fn render(&mut self, t: SimTime, fb: &mut Framebuffer);
+    /// Frame number of the screen at `t`. Two instants with equal frames
+    /// render identical pixels, so a caller that already holds the render
+    /// of a frame may skip rendering it again. (Unequal frames promise
+    /// nothing: their pixels may still coincide.)
+    fn frame(&self, t: SimTime) -> u64;
     /// Short name for reports.
     fn name(&self) -> &'static str;
 }
@@ -33,7 +38,7 @@ impl SlideDeck {
 
 impl ScreenSource for SlideDeck {
     fn render(&mut self, t: SimTime, fb: &mut Framebuffer) {
-        let slide = (t.as_secs_f64() / self.period_s) as usize;
+        let slide = self.frame(t) as usize;
         // Background hue varies per slide; bullet blocks vary in count.
         let bg = 0x2104u16.wrapping_add((slide as u16).wrapping_mul(0x1111));
         fb.clear(bg);
@@ -41,6 +46,10 @@ impl ScreenSource for SlideDeck {
         for bullet in 0..(slide % 5 + 1) {
             fb.fill_rect(48, 96 + bullet * 48, fb.width() / 2, 24, 0xC618);
         }
+    }
+    /// The frame is the slide index.
+    fn frame(&self, t: SimTime) -> u64 {
+        (t.as_secs_f64() / self.period_s) as u64
     }
     fn name(&self) -> &'static str {
         "slides"
@@ -90,6 +99,10 @@ impl ScreenSource for BouncingBox {
         fb.clear(0x0000);
         fb.fill_rect(x as usize, y as usize, self.size, self.size, 0xF800);
     }
+    /// The box moves continuously: every distinct instant is a new frame.
+    fn frame(&self, t: SimTime) -> u64 {
+        t.as_nanos()
+    }
     fn name(&self) -> &'static str {
         "animation"
     }
@@ -118,13 +131,16 @@ impl ScreenSource for NoiseVideo {
     fn render(&mut self, t: SimTime, fb: &mut Framebuffer) {
         // Deterministic per frame index: re-fork so replays and repeated
         // renders of the same instant produce identical screens.
-        let frame = (t.as_secs_f64() * self.fps) as u64;
-        let mut rng = self.rng.fork(frame);
+        let mut rng = self.rng.fork(self.frame(t));
         for y in 0..fb.height() {
             for x in 0..fb.width() {
                 fb.set(x, y, rng.next_u64_raw() as u16);
             }
         }
+    }
+    /// The frame is the noise frame index.
+    fn frame(&self, t: SimTime) -> u64 {
+        (t.as_secs_f64() * self.fps) as u64
     }
     fn name(&self) -> &'static str {
         "noise-video"

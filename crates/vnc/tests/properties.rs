@@ -1,12 +1,35 @@
 //! Property-based tests for the VNC substrate codecs and framebuffer.
 
+use aroma_sim::SimTime;
 use aroma_vnc::encoding::{
     decode_tile, encode_tile, read_tile_stream, rle_decode, rle_encode, write_tile_stream,
 };
 use aroma_vnc::protocol::{chunk_update, PushResult, Reassembler, VncMsg};
-use aroma_vnc::{Framebuffer, TILE};
+use aroma_vnc::{BouncingBox, Framebuffer, NoiseVideo, ScreenSource, SlideDeck, TILE};
 use bytes::Bytes;
 use proptest::prelude::*;
+
+/// The promise render-on-frame-change rests on: when `t1` and `t2` have
+/// equal frames, rendering `t2` over a screen that showed `other` yields
+/// exactly the screen rendered fresh at `t1`. Returns whether the frames
+/// were equal.
+fn equal_frames_render_equal(src: &mut dyn ScreenSource, t1: u64, t2: u64, other: u64) -> bool {
+    let (t1, t2, other) = (
+        SimTime::from_nanos(t1),
+        SimTime::from_nanos(t2),
+        SimTime::from_nanos(other),
+    );
+    if src.frame(t1) != src.frame(t2) {
+        return false;
+    }
+    let mut fresh = Framebuffer::new(160, 128);
+    src.render(t1, &mut fresh);
+    let mut reused = Framebuffer::new(160, 128);
+    src.render(other, &mut reused);
+    src.render(t2, &mut reused);
+    assert_eq!(fresh, reused, "equal frames rendered different pixels");
+    true
+}
 
 fn arb_tile_pixels() -> impl Strategy<Value = Vec<u16>> {
     prop_oneof![
@@ -24,6 +47,43 @@ fn arb_tile_pixels() -> impl Strategy<Value = Vec<u16>> {
 }
 
 proptest! {
+    /// A slide deck's frame is its slide: equal slides, equal screens.
+    #[test]
+    fn slide_deck_equal_frames_render_equal(
+        period_ms in 100u64..5_000,
+        t1 in 0u64..60_000_000_000,
+        dt in 0u64..2_000_000_000,
+        other in 0u64..60_000_000_000,
+    ) {
+        let mut deck = SlideDeck::new(period_ms as f64 / 1000.0);
+        equal_frames_render_equal(&mut deck, t1, t1 + dt, other);
+    }
+
+    /// Noise video's frame is its noise frame index.
+    #[test]
+    fn noise_video_equal_frames_render_equal(
+        fps in 1u64..30,
+        seed in any::<u64>(),
+        t1 in 0u64..60_000_000_000,
+        dt in 0u64..200_000_000,
+        other in 0u64..60_000_000_000,
+    ) {
+        let mut noise = NoiseVideo::new(fps as f64, seed);
+        equal_frames_render_equal(&mut noise, t1, t1 + dt, other);
+    }
+
+    /// A bouncing box moves at every instant: only the same instant is the
+    /// same frame, and it renders the same screen whatever came before.
+    #[test]
+    fn bouncing_box_equal_frames_render_equal(
+        t1 in 0u64..60_000_000_000,
+        other in 0u64..60_000_000_000,
+    ) {
+        let mut bounce = BouncingBox::new();
+        prop_assert!(equal_frames_render_equal(&mut bounce, t1, t1, other));
+        prop_assert_ne!(bounce.frame(SimTime::from_nanos(t1)), bounce.frame(SimTime::from_nanos(t1 + 1)));
+    }
+
     /// RLE round-trips any pixel vector of tile size.
     #[test]
     fn rle_round_trip(px in arb_tile_pixels()) {

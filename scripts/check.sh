@@ -12,7 +12,9 @@
 # registration and diff its results against the unoptimized program on
 # three seed-driven input sweeps (DESIGN.md §13), and the aroma-lint
 # determinism gate: zero unwaived nondet-order or sim-purity findings
-# across the workspace, every waiver carrying a reason (DESIGN.md §14).
+# across the workspace, every waiver carrying a reason (DESIGN.md §14), and
+# the end-to-end benchmark's own tests plus one short traced run of each of
+# its workloads (e2ebench/README.md).
 # Run from the repository root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -84,3 +86,13 @@ cargo run --release -p aroma-lint -- --deny \
 # JSON smoke: the machine-readable report renders and carries the summary.
 lint_json=$(cargo run --release -p aroma-lint -- --json)
 grep -q '"files_scanned"' <<<"$lint_json"
+
+# End-to-end benchmark gate: the e2ebench package's tests, then one short
+# traced run per workload. A run exits 1 when a correctness check fails or
+# two passes of the seed (traced or untraced) disagree on their digest.
+cargo test --release --manifest-path e2ebench/Cargo.toml
+for workload in building chaos; do
+  e2e_out=$(cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
+    --workload "$workload" --seed 233 --seconds 1 --trace 1) \
+    || { printf '%s\n' "$e2e_out"; echo "FAIL: e2ebench $workload run failed its checks"; exit 1; }
+done
