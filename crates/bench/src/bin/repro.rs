@@ -133,9 +133,9 @@ fn main() {
             eprintln!("appended scaling entry to BENCH_check.json");
             return;
         }
-        // Discovery mode: sweep the lease-table engines (flat vs sharded
-        // at 10^4..10^6 leases) and *append* to BENCH_disc.json, same
-        // trajectory-accumulation contract as --scaling.
+        // Discovery mode: sweep the lease table at 10^4..10^6 leases and
+        // *append* to BENCH_disc.json, same trajectory-accumulation
+        // contract as --scaling.
         if discovery {
             let doc = lpc_bench::discbench::run(opts.quick);
             let text = doc.render();

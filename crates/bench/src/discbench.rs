@@ -2,24 +2,18 @@
 //! `BENCH_disc.json` (appended by `repro bench --discovery` /
 //! `scripts/bench.sh --discovery`).
 //!
-//! Measures the lease-table engines the replicated registrar applies its
-//! committed log to — the flat `ServiceRegistry` and the hash-sharded
-//! `ShardedRegistry` (PR 9) — at 10^4, 10^5, and 10^6 live leases:
-//! register and renew throughput (ops/sec) and template-lookup throughput
-//! with the p50/p99 per-lookup latency. Both engines answer every lookup
-//! in global `ServiceId` order, so the numbers compare identical outputs.
+//! Measures the lease table every registrar applies its operations to —
+//! the `BTreeMap`-backed `ServiceRegistry` — at 10^4, 10^5, and 10^6 live
+//! leases: register and renew throughput (ops/sec) and template-lookup
+//! throughput with the p50/p99 per-lookup latency.
 //!
 //! Numbers are hardware-honest: wall-clock `Instant` timing, recorded
 //! alongside `available_parallelism`, and the document is *appended* to
 //! `BENCH_disc.json` so the trajectory accumulates across engine changes.
-//! Lookups here are template scans (the protocol's `lookup_live` path);
-//! sharding exists for lock-free parallel sweeps and smaller per-shard
-//! maps, not to win a single-threaded scan, and the JSON reports whatever
-//! ratio falls out rather than asserting a direction.
+//! Lookups here are template scans (the protocol's `lookup_live` path).
 
 use aroma_discovery::codec::{ServiceId, ServiceItem, Template};
 use aroma_discovery::registry::ServiceRegistry;
-use aroma_discovery::shard::ShardedRegistry;
 use aroma_sim::report::Json;
 use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
@@ -29,12 +23,10 @@ use std::time::Instant;
 pub const SCALES: [usize; 3] = [10_000, 100_000, 1_000_000];
 /// Quick-mode sizes (what the test suite and `--quick` runs use).
 pub const QUICK_SCALES: [usize; 2] = [10_000, 100_000];
-/// Shard count for the sharded engine (the `ClusterConfig::of` default).
-const SHARDS: usize = 64;
 /// Distinct service kinds; one lookup matches `leases / KINDS` rows.
 const KINDS: usize = 100;
 
-/// One engine's numbers at one scale.
+/// The table's numbers at one scale.
 pub struct EnginePoint {
     /// Registrations per wall-clock second (filling the table).
     pub register_ops_per_sec: f64,
@@ -46,8 +38,7 @@ pub struct EnginePoint {
     pub lookup_p50_us: f64,
     /// 99th-percentile per-lookup latency, microseconds.
     pub lookup_p99_us: f64,
-    /// Rows the measured template matched (sanity: identical across
-    /// engines, `leases / KINDS`).
+    /// Rows the measured template matched (sanity: `leases / KINDS`).
     pub rows_per_lookup: usize,
 }
 
@@ -83,42 +74,9 @@ fn pct_us(sorted_nanos: &[u64], p: usize) -> f64 {
     sorted_nanos[idx] as f64 / 1_000.0
 }
 
-/// The operations the benchmark times, implemented by both engines (their
-/// inherent methods share signatures but there is no common trait in the
-/// production crate — lookups there go through the replica, not a dyn
-/// table).
-trait LeaseTable {
-    fn register(&mut self, now: SimTime, item: ServiceItem, requested: SimDuration);
-    fn renew(&mut self, now: SimTime, id: ServiceId);
-    fn lookup(&self, now: SimTime, template: &Template) -> usize;
-}
-
-impl LeaseTable for ServiceRegistry {
-    fn register(&mut self, now: SimTime, item: ServiceItem, requested: SimDuration) {
-        ServiceRegistry::register(self, now, item, requested);
-    }
-    fn renew(&mut self, now: SimTime, id: ServiceId) {
-        ServiceRegistry::renew(self, now, id);
-    }
-    fn lookup(&self, now: SimTime, template: &Template) -> usize {
-        self.lookup_live(now, template).len()
-    }
-}
-
-impl LeaseTable for ShardedRegistry {
-    fn register(&mut self, now: SimTime, item: ServiceItem, requested: SimDuration) {
-        ShardedRegistry::register(self, now, item, requested);
-    }
-    fn renew(&mut self, now: SimTime, id: ServiceId) {
-        ShardedRegistry::renew(self, now, id);
-    }
-    fn lookup(&self, now: SimTime, template: &Template) -> usize {
-        self.lookup_live(now, template).len()
-    }
-}
-
-/// Drive one engine through the fill / renew / lookup phases.
-fn measure<T: LeaseTable>(table: &mut T, leases: usize, lookups: usize) -> EnginePoint {
+/// Drive a fresh table through the fill / renew / lookup phases.
+fn measure(leases: usize, lookups: usize) -> EnginePoint {
+    let mut table = ServiceRegistry::new(SimDuration::from_secs(7_200));
     let now = SimTime::from_nanos(1);
     let requested = SimDuration::from_secs(3_600);
 
@@ -146,7 +104,7 @@ fn measure<T: LeaseTable>(table: &mut T, leases: usize, lookups: usize) -> Engin
     for l in 0..lookups {
         let template = Template::of_kind(&format!("kind/{:02}", l % KINDS));
         let t1 = Instant::now();
-        rows_per_lookup = table.lookup(now, &template);
+        rows_per_lookup = table.lookup_live(now, &template).len();
         lat.push(t1.elapsed().as_nanos() as u64);
     }
     let lookup_secs = t.elapsed().as_secs_f64();
@@ -162,30 +120,14 @@ fn measure<T: LeaseTable>(table: &mut T, leases: usize, lookups: usize) -> Engin
     }
 }
 
-/// Measure both engines at `leases` live leases.
+/// Measure the table at `leases` live leases.
 pub fn scale_point(leases: usize, lookups: usize) -> (String, Json) {
-    let max_lease = SimDuration::from_secs(7_200);
-
-    let mut flat = ServiceRegistry::new(max_lease);
-    let flat_point = measure(&mut flat, leases, lookups);
-
-    let mut sharded = ShardedRegistry::new(SHARDS, max_lease);
-    let sharded_point = measure(&mut sharded, leases, lookups);
-
-    assert_eq!(
-        flat_point.rows_per_lookup, sharded_point.rows_per_lookup,
-        "engines disagreed on lookup results"
-    );
-    let ratio = sharded_point.lookup_ops_per_sec / flat_point.lookup_ops_per_sec.max(1e-9);
-    let sharded_key = format!("sharded_{SHARDS}");
     (
         format!("leases_{leases}"),
         Json::obj(vec![
             ("leases", Json::from(leases)),
             ("lookups_timed", Json::from(lookups)),
-            ("flat", flat_point.json()),
-            (sharded_key.as_str(), sharded_point.json()),
-            ("lookup_ratio_sharded_vs_flat", Json::from(ratio)),
+            ("flat", measure(leases, lookups).json()),
         ]),
     )
 }
@@ -197,8 +139,7 @@ pub fn run(quick: bool) -> Json {
     let lookups = if quick { 60 } else { 200 };
     let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut fields = vec![
-        ("engine".to_string(), Json::from("flat-btree vs hash-sharded")),
-        ("shards".to_string(), Json::from(SHARDS)),
+        ("engine".to_string(), Json::from("flat-btree")),
         ("available_parallelism".to_string(), Json::from(parallelism)),
         ("quick".to_string(), Json::from(quick)),
     ];
@@ -215,15 +156,17 @@ mod tests {
     #[test]
     fn engines_agree_and_the_document_renders() {
         // A deliberately tiny point: the real scales run in release mode
-        // via `scripts/bench.sh --discovery`; this pins the engine
-        // cross-check and the JSON shape cheaply for the debug suite.
+        // via `scripts/bench.sh --discovery`; this pins the flat-only JSON
+        // shape cheaply for the debug suite.
         let (name, json) = scale_point(2_000, 10);
         assert_eq!(name, "leases_2000");
+        let Json::Obj(fields) = &json else { panic!("scale point is an object") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["leases", "lookups_timed", "flat"]);
         let text = json.render();
         assert!(text.contains("lookup_p99_us"));
-        assert!(text.contains("sharded_64"));
-        assert!(text.contains("lookup_ratio_sharded_vs_flat"));
         assert!(text.contains("\"rows_per_lookup\":20"));
+        assert!(!text.contains("shard"), "no sharded arm: {text}");
     }
 
     #[test]

@@ -486,7 +486,6 @@ pub fn churn_run(seed: u64) -> ChurnRun {
                 .map(|n| {
                     n.table()
                         .entries()
-                        .into_iter()
                         .map(|(i, e)| (i.id.0, e.as_nanos()))
                         .collect()
                 })

@@ -11,9 +11,9 @@
 //!   appears, and records *time-to-service*, the paper's implicit metric for
 //!   "automatically discover and use remote services".
 
-use crate::codec::{EventKind, Msg, ServiceId, ServiceItem, Template};
-use crate::registry::ServiceRegistry;
-use aroma_net::{Address, NetApp, NetCtx, NodeId, MTU_BYTES};
+use crate::codec::{pack_lookup_reply, EventKind, Msg, ServiceId, ServiceItem, Template};
+use crate::registry::{RegistryEvent, ServiceRegistry};
+use aroma_net::{Address, NetApp, NetCtx, NodeId};
 use aroma_sim::telemetry::{Layer, Recorder};
 use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
@@ -128,74 +128,57 @@ impl RegistrarApp {
         }
     }
 
-    /// Push event notifications to subscribers, encoding each distinct
-    /// transition once: `events_for` emits one event per matching
-    /// subscriber of the *same* `(kind, item)`, so consecutive events in a
-    /// batch share their wire bytes (a refcounted [`Bytes`] clone per
-    /// subscriber, not a re-encode). A full MAC queue drops the
-    /// notification — counted, never silent.
-    fn flush_events(&mut self, ctx: &mut NetCtx<'_>, events: Vec<crate::registry::RegistryEvent>) {
-        let mut cached: Option<(EventKind, ServiceItem, Bytes)> = None;
-        for ev in events {
-            let reuse = cached
-                .as_ref()
-                .is_some_and(|(k, it, _)| *k == ev.kind && *it == ev.item);
-            if !reuse {
-                let wire = Msg::Event {
-                    kind: ev.kind,
-                    item: ev.item.clone(),
-                }
-                .encode();
-                self.event_encodings += 1;
-                cached = Some((ev.kind, ev.item, wire));
-            }
-            let wire = cached.as_ref().expect("cache populated above").2.clone();
-            if !ctx.send(Address::Node(NodeId(ev.subscriber)), wire) {
-                self.events_dropped += 1;
-                let now_ns = ctx.now().as_nanos();
-                let rec = ctx.telemetry();
-                rec.count("disc.events_dropped", 1);
-                rec.event(
-                    now_ns,
-                    Layer::Abstract,
-                    "disc.event.drop",
-                    ev.subscriber,
-                    0,
-                    0,
-                );
-            }
-        }
+    fn flush_events(&mut self, ctx: &mut NetCtx<'_>, events: Vec<RegistryEvent>) {
+        let (encodings, dropped) = notify_subscribers(ctx, events);
+        self.event_encodings += encodings;
+        self.events_dropped += dropped;
     }
+}
 
-    /// Pack as many matching items as fit in one MTU-sized reply.
-    ///
-    /// Only leases live at `now` are served: the expiry sweep is
-    /// timer-driven, so without the filter a lookup landing between a
-    /// lease's expiry instant and the sweep would return the stale
-    /// registration (the no-stale-lookup invariant `aroma-check` proves).
-    fn build_reply(&self, req: u64, now: aroma_sim::SimTime, template: &Template) -> Msg {
-        let matches = self.registry.lookup_live(now, template);
-        let total = matches.len();
-        let mut items: Vec<ServiceItem> = Vec::new();
-        for item in matches {
-            items.push(item.clone());
-            let candidate = Msg::LookupReply {
-                req,
-                items: items.clone(),
-                truncated: false,
-            };
-            if candidate.encoded_len() > MTU_BYTES {
-                items.pop();
-                break;
+/// Push a batch of registry events to their subscribers; both registrars
+/// send every notification through here. Each distinct transition is
+/// encoded once: the registry emits one event per matching subscriber of
+/// the *same* `(kind, item)`, so consecutive events in a batch share
+/// their wire bytes (a refcounted [`Bytes`] clone per subscriber, not a
+/// re-encode). A full MAC queue drops the notification — counted in
+/// `disc.events_dropped` with a `disc.event.drop` trace event, never
+/// silent. Returns `(encodings, dropped)` for the caller's counters.
+pub(crate) fn notify_subscribers(
+    ctx: &mut NetCtx<'_>,
+    events: Vec<RegistryEvent>,
+) -> (u64, u64) {
+    let (mut encodings, mut dropped) = (0, 0);
+    let mut cached: Option<(EventKind, ServiceItem, Bytes)> = None;
+    for ev in events {
+        let reuse = cached
+            .as_ref()
+            .is_some_and(|(k, it, _)| *k == ev.kind && *it == ev.item);
+        if !reuse {
+            let wire = Msg::Event {
+                kind: ev.kind,
+                item: ev.item.clone(),
             }
+            .encode();
+            encodings += 1;
+            cached = Some((ev.kind, ev.item, wire));
         }
-        let truncated = items.len() < total;
-        Msg::LookupReply {
-            req,
-            items,
-            truncated,
+        let wire = cached.as_ref().expect("cache populated above").2.clone();
+        if !ctx.send(Address::Node(NodeId(ev.subscriber)), wire) {
+            dropped += 1;
+            let now_ns = ctx.now().as_nanos();
+            let rec = ctx.telemetry();
+            rec.count("disc.events_dropped", 1);
+            rec.event(
+                now_ns,
+                Layer::Abstract,
+                "disc.event.drop",
+                ev.subscriber,
+                0,
+                0,
+            );
         }
     }
+    (encodings, dropped)
 }
 
 impl NetApp for RegistrarApp {
@@ -293,14 +276,20 @@ impl NetApp for RegistrarApp {
             Msg::Lookup { req, template } => {
                 self.lookups_served += 1;
                 let now = ctx.now();
-                let reply = self.build_reply(req, now, &template);
+                // Only leases live at `now` are served: the expiry sweep
+                // is timer-driven, so without the filter a lookup landing
+                // between a lease's expiry instant and the sweep would
+                // return the stale registration (the no-stale-lookup
+                // invariant `aroma-check` proves).
+                let matches = self.registry.lookup_live(now, &template);
+                let (reply, _) = pack_lookup_reply(req, &matches);
                 if ctx.telemetry().enabled() {
                     // Stale window: registrations whose lease expired but
                     // whose expiry sweep has not yet run. `lookup_live`
                     // filters them out of the reply; count how many the
                     // filter hid from this lookup.
                     let all = self.registry.lookup(&template).len();
-                    let live = self.registry.lookup_live(now, &template).len();
+                    let live = matches.len();
                     let stale = (all - live) as i64;
                     let rec = ctx.telemetry();
                     rec.count("disc.lookups", 1);
@@ -327,7 +316,7 @@ impl NetApp for RegistrarApp {
                         );
                     }
                 }
-                ctx.send(Address::Node(from), reply.encode());
+                ctx.send(Address::Node(from), reply);
             }
             Msg::Subscribe { template } => {
                 self.registry.subscribe(from.0, template);

@@ -20,12 +20,13 @@
 //! rank · ELECTION_STAGGER` of primary silence), so the owner of the next
 //! epoch campaigns first and elections need no randomness.
 
-use crate::codec::Msg;
+use crate::apps::notify_subscribers;
+use crate::codec::{pack_lookup_reply, Msg, Template};
 use crate::replication::{
     ClientAck, ClusterConfig, DurableState, Effect, RepMsg, RepStats, ReplicaNode,
     PROTO_REPLICATION,
 };
-use aroma_net::{Address, NetApp, NetCtx, NodeId, MTU_BYTES};
+use aroma_net::{Address, NetApp, NetCtx, NodeId};
 use aroma_sim::telemetry::{Layer, Recorder};
 use aroma_sim::SimDuration;
 use bytes::Bytes;
@@ -59,6 +60,12 @@ pub struct ReplicatedRegistrarApp {
     pub lookups_served: u64,
     /// Durable restores performed across restarts.
     pub restores: u64,
+    /// Event notifications encoded (one per distinct `(kind, item)` run,
+    /// as in [`crate::apps::RegistrarApp`]).
+    pub event_encodings: u64,
+    /// Event notifications the MAC refused to accept (full queue), also
+    /// counted in `disc.events_dropped`.
+    pub events_dropped: u64,
     started: bool,
 }
 
@@ -75,6 +82,8 @@ impl ReplicatedRegistrarApp {
             flushed: RepStats::default(),
             lookups_served: 0,
             restores: 0,
+            event_encodings: 0,
+            events_dropped: 0,
             started: false,
         }
     }
@@ -101,14 +110,25 @@ impl ReplicatedRegistrarApp {
     /// Carry out the effects the replication core requested, then persist
     /// and mirror the counters into telemetry.
     fn run_effects(&mut self, ctx: &mut NetCtx<'_>, effects: Vec<Effect>) {
-        for e in effects {
+        let mut effects = effects.into_iter().peekable();
+        while let Some(e) = effects.next() {
             match e {
                 Effect::Send { to, msg } => {
                     ctx.send_wired(NodeId(to), msg.encode());
                 }
                 Effect::Notify(ev) => {
-                    let msg = Msg::Event { kind: ev.kind, item: ev.item };
-                    ctx.send(Address::Node(NodeId(ev.subscriber)), msg.encode());
+                    // One transition notifies its subscribers as a run of
+                    // effects; send the run as one batch so it is encoded
+                    // once.
+                    let mut batch = vec![ev];
+                    while let Some(Effect::Notify(ev)) =
+                        effects.next_if(|e| matches!(e, Effect::Notify(_)))
+                    {
+                        batch.push(ev);
+                    }
+                    let (encodings, dropped) = notify_subscribers(ctx, batch);
+                    self.event_encodings += encodings;
+                    self.events_dropped += dropped;
                 }
                 Effect::Ack { to, ack } => {
                     let msg = match ack {
@@ -182,28 +202,17 @@ impl ReplicatedRegistrarApp {
     }
 
     /// Serve one lookup from the applied table (active primary only; the
-    /// caller checked). Mirrors `RegistrarApp`'s reply packing and its
-    /// `lookup.serve` event shape so the chaos experiments read both the
-    /// same way.
-    fn serve_lookup(&mut self, ctx: &mut NetCtx<'_>, from: NodeId, req: u64, template: crate::codec::Template) {
+    /// caller checked). Packs the reply as `RegistrarApp` does and mirrors
+    /// its `lookup.serve` event shape so the chaos experiments read both
+    /// the same way.
+    fn serve_lookup(&mut self, ctx: &mut NetCtx<'_>, from: NodeId, req: u64, template: Template) {
         let node = self.node.as_ref().unwrap();
         let now = ctx.now();
         self.lookups_served += 1;
         let matches = node.lookup_live(now, &template);
         let total = matches.len();
-        let mut items: Vec<crate::codec::ServiceItem> = Vec::new();
-        for item in matches {
-            items.push(item.clone());
-            let candidate = Msg::LookupReply { req, items: items.clone(), truncated: false };
-            if candidate.encoded_len() > MTU_BYTES {
-                items.pop();
-                break;
-            }
-        }
-        let live = items.len();
-        let truncated = live < total;
+        let (reply, live) = pack_lookup_reply(req, &matches);
         if ctx.telemetry().enabled() {
-            let node = self.node.as_ref().unwrap();
             let all = node.table().lookup(&template).len();
             let stale = (all - total) as i64;
             let rec = ctx.telemetry();
@@ -213,7 +222,7 @@ impl ReplicatedRegistrarApp {
                 rec.count("disc.lease.stale_window_hits", stale as u64);
             }
         }
-        ctx.send(Address::Node(from), Msg::LookupReply { req, items, truncated }.encode());
+        ctx.send(Address::Node(from), reply);
     }
 
     fn on_client_msg(&mut self, ctx: &mut NetCtx<'_>, from: NodeId, msg: Msg) {
@@ -360,7 +369,7 @@ impl NetApp for ReplicatedRegistrarApp {
 mod tests {
     use super::*;
     use crate::apps::{ClientApp, ProviderApp};
-    use crate::codec::{ServiceId, ServiceItem, Template};
+    use crate::codec::{ServiceId, ServiceItem};
     use aroma_env::radio::{Channel, RadioEnvironment};
     use aroma_env::space::Point;
     use aroma_net::{MacConfig, Network, NodeConfig};

@@ -6,6 +6,7 @@
 //! truncation flag, exactly the kind of constraint a 1500-byte frame imposes
 //! on a real discovery protocol.
 
+use aroma_net::MTU_BYTES;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Globally unique service identifier (provider-generated).
@@ -222,7 +223,7 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
+pub(crate) fn put_str(buf: &mut impl BufMut, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize, "string too long for codec");
     buf.put_u16(s.len() as u16);
     buf.put_slice(s.as_bytes());
@@ -240,7 +241,7 @@ pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
     String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadString)
 }
 
-pub(crate) fn put_item(buf: &mut BytesMut, item: &ServiceItem) {
+pub(crate) fn put_item(buf: &mut impl BufMut, item: &ServiceItem) {
     buf.put_u64(item.id.0);
     put_str(buf, &item.kind);
     buf.put_u16(item.attributes.len() as u16);
@@ -259,16 +260,7 @@ pub(crate) fn get_item(buf: &mut Bytes) -> Result<ServiceItem, CodecError> {
     }
     let id = ServiceId(buf.get_u64());
     let kind = get_str(buf)?;
-    if buf.remaining() < 2 {
-        return Err(CodecError::Truncated);
-    }
-    let n = buf.get_u16() as usize;
-    let mut attributes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = get_str(buf)?;
-        let v = get_str(buf)?;
-        attributes.push((k, v));
-    }
+    let attributes = get_attributes(buf)?;
     if buf.remaining() < 6 {
         return Err(CodecError::Truncated);
     }
@@ -306,22 +298,59 @@ pub(crate) fn get_template(buf: &mut Bytes) -> Result<Template, CodecError> {
     if buf.remaining() < 1 {
         return Err(CodecError::Truncated);
     }
-    let kind = if buf.get_u8() == 1 {
-        Some(get_str(buf)?)
-    } else {
-        None
+    let kind = match buf.get_u8() {
+        0 => None,
+        1 => Some(get_str(buf)?),
+        flag => return Err(CodecError::BadTag(flag)),
     };
+    let attributes = get_attributes(buf)?;
+    Ok(Template { kind, attributes })
+}
+
+/// A u16-counted list of key/value string pairs. The reservation is
+/// bounded by what the remaining bytes can hold (a pair takes at least
+/// two u16 length prefixes), so a forged count cannot make a short
+/// message allocate for 65,535 pairs.
+fn get_attributes(buf: &mut Bytes) -> Result<Vec<(String, String)>, CodecError> {
     if buf.remaining() < 2 {
         return Err(CodecError::Truncated);
     }
     let n = buf.get_u16() as usize;
-    let mut attributes = Vec::with_capacity(n);
+    let mut attributes = Vec::with_capacity(n.min(buf.remaining() / 4));
     for _ in 0..n {
         let k = get_str(buf)?;
         let v = get_str(buf)?;
         attributes.push((k, v));
     }
-    Ok(Template { kind, attributes })
+    Ok(attributes)
+}
+
+/// Encode the [`Msg::LookupReply`] to `req` that carries the longest
+/// prefix of `matches` fitting one [`MTU_BYTES`] frame: items are taken
+/// in order until the first one that does not fit, and `truncated` is set
+/// when any match was left out. Each item is encoded once, straight into
+/// the frame. Returns the wire bytes and how many items they carry.
+pub fn pack_lookup_reply(req: u64, matches: &[&ServiceItem]) -> (Bytes, usize) {
+    let mut buf = Vec::with_capacity(MTU_BYTES);
+    buf.put_u8(PROTO_DISCOVERY);
+    buf.put_u8(TAG_LOOKUP_REPLY);
+    buf.put_u64(req);
+    let header = buf.len();
+    buf.put_u8(0); // truncated flag, set below
+    buf.put_u16(0); // item count, set below
+    let mut packed = 0;
+    for item in matches {
+        let end = buf.len();
+        put_item(&mut buf, item);
+        if buf.len() > MTU_BYTES {
+            buf.truncate(end);
+            break;
+        }
+        packed += 1;
+    }
+    buf[header] = (packed < matches.len()) as u8;
+    buf[header + 1..header + 3].copy_from_slice(&(packed as u16).to_be_bytes());
+    (Bytes::from(buf), packed)
 }
 
 impl Msg {
@@ -504,11 +533,6 @@ impl Msg {
         }
         Ok(msg)
     }
-
-    /// Encoded size in bytes (used for MTU packing).
-    pub fn encoded_len(&self) -> usize {
-        self.encode().len()
-    }
 }
 
 #[cfg(test)]
@@ -653,12 +677,104 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_matches_encoding() {
-        let m = Msg::LookupReply {
-            req: 1,
-            items: vec![item()],
-            truncated: false,
-        };
-        assert_eq!(m.encoded_len(), m.encode().len());
+    fn template_kind_flag_other_than_0_or_1_rejected() {
+        for flag in 2..=u8::MAX {
+            let mut buf = BytesMut::new();
+            buf.put_u8(PROTO_DISCOVERY);
+            buf.put_u8(TAG_LOOKUP);
+            buf.put_u64(5);
+            buf.put_u8(flag);
+            buf.put_u16(0); // no attributes
+            assert_eq!(Msg::decode(buf.freeze()), Err(CodecError::BadTag(flag)));
+        }
+    }
+
+    /// The packing loop both registrars ran before [`pack_lookup_reply`]:
+    /// re-encode the whole reply after each added item, and drop the item
+    /// that first pushes it past the MTU.
+    fn reference_reply(req: u64, matches: &[&ServiceItem]) -> Msg {
+        let mut items: Vec<ServiceItem> = Vec::new();
+        for item in matches {
+            items.push((*item).clone());
+            let candidate = Msg::LookupReply {
+                req,
+                items: items.clone(),
+                truncated: false,
+            };
+            if candidate.encode().len() > MTU_BYTES {
+                items.pop();
+                break;
+            }
+        }
+        let truncated = items.len() < matches.len();
+        Msg::LookupReply {
+            req,
+            items,
+            truncated,
+        }
+    }
+
+    fn sized_item(id: u64, kind_len: usize, attrs: usize, proxy_len: usize) -> ServiceItem {
+        ServiceItem {
+            id: ServiceId(id),
+            kind: "k".repeat(kind_len),
+            attributes: (0..attrs).map(|a| (format!("a{a}"), "v".repeat(a * 7))).collect(),
+            provider: id as u32,
+            proxy: Bytes::from(vec![id as u8; proxy_len]),
+        }
+    }
+
+    fn item_len(item: &ServiceItem) -> usize {
+        let mut buf = BytesMut::new();
+        put_item(&mut buf, item);
+        buf.len()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `pack_lookup_reply` emits the reference loop's bytes. `fit`
+        /// picks the case: 0 leaves the random sizes alone, 1 resizes the
+        /// first item that does not fit so the reply lands exactly on
+        /// `MTU_BYTES`, 2 makes that item overshoot by a single byte.
+        #[test]
+        fn lookup_reply_packing_matches_the_old_loop(
+            sizes in prop::collection::vec((0usize..24, 0usize..4, 0usize..700), 0..12),
+            fit in 0u8..3,
+            req in any::<u64>()
+        ) {
+            let mut items: Vec<ServiceItem> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, attrs, proxy))| sized_item(i as u64, kind, attrs, proxy))
+                .collect();
+            let mut landed = false;
+            if fit > 0 {
+                let mut used = 13; // proto, tag, req, truncated flag, count
+                for item in items.iter_mut() {
+                    let len = item_len(item);
+                    if used + len > MTU_BYTES {
+                        let room = MTU_BYTES - used;
+                        let base = len - item.proxy.len();
+                        if room >= base {
+                            let proxy_len = room - base + (fit == 2) as usize;
+                            item.proxy = Bytes::from(vec![7; proxy_len]);
+                            landed = fit == 1;
+                        }
+                        break;
+                    }
+                    used += len;
+                }
+            }
+            let matches: Vec<&ServiceItem> = items.iter().collect();
+            let (wire, packed) = pack_lookup_reply(req, &matches);
+            let reference = reference_reply(req, &matches);
+            prop_assert_eq!(&wire, &reference.encode());
+            let Msg::LookupReply { items: kept, .. } = &reference else { unreachable!() };
+            prop_assert_eq!(packed, kept.len());
+            if landed {
+                prop_assert_eq!(wire.len(), MTU_BYTES);
+            }
+        }
     }
 }

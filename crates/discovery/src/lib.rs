@@ -26,12 +26,10 @@
 //!
 //! PR 9 makes the registrar replicated and persistent:
 //!
-//! * [`shard`] — the lease table split into hash-routed
-//!   [`registry::ServiceRegistry`] shards with order-preserving merges, so
-//!   sharding is unobservable in any output.
 //! * [`replication`] — log-shipped lease replication between registrars:
 //!   epoch-owned primaries, majority commit, and election on lease timeout
-//!   (at most one active primary per epoch by construction).
+//!   (at most one active primary per epoch by construction). Each replica
+//!   applies the committed log to one [`registry::ServiceRegistry`].
 //! * [`snapshot`] — deterministic versioned lease-table snapshots; the
 //!   replication log truncates behind them and restarted registrars rejoin
 //!   from snapshot + log suffix.
@@ -53,7 +51,6 @@ pub mod flap;
 pub mod proxy;
 pub mod registry;
 pub mod replication;
-pub mod shard;
 pub mod snapshot;
 
 pub use cluster::ReplicatedRegistrarApp;
@@ -65,5 +62,4 @@ pub use replication::{
     ClientAck, ClusterConfig, DurableState, Effect, LogEntry, RepMsg, RepOp, RepStats,
     ReplicaNode, Role, PROTO_REPLICATION,
 };
-pub use shard::ShardedRegistry;
 pub use snapshot::{LeaseSnapshot, SNAPSHOT_VERSION};

@@ -489,6 +489,21 @@ mod tests {
     }
 
     #[test]
+    fn entries_are_in_service_id_order() {
+        // The snapshot capture path: `entries()` yields `ServiceId` order
+        // whatever the registration order, each row with its expiry.
+        let mut r = ServiceRegistry::new(SimDuration::from_secs(10));
+        for id in [9u64, 2, 77, 31, 5] {
+            r.register(t(0), item(id, "x"), SimDuration::from_secs(id));
+        }
+        let rows: Vec<(u64, SimTime)> = r.entries().map(|(i, e)| (i.id.0, e)).collect();
+        assert_eq!(
+            rows,
+            vec![(2, t(2_000)), (5, t(5_000)), (9, t(9_000)), (31, t(10_000)), (77, t(10_000))]
+        );
+    }
+
+    #[test]
     fn next_expiry_tracks_minimum() {
         let mut r = ServiceRegistry::new(SimDuration::from_secs(10));
         assert_eq!(r.next_expiry(), None);

@@ -48,8 +48,7 @@
 
 use crate::codec::{get_item, put_item, CodecError, ServiceId, ServiceItem, Template};
 use crate::flap::{FlapConfig, FlapDamper, FlapDecision};
-use crate::registry::RegistryEvent;
-use crate::shard::ShardedRegistry;
+use crate::registry::{RegistryEvent, ServiceRegistry};
 use crate::snapshot::LeaseSnapshot;
 use aroma_sim::{SimDuration, SimTime};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -354,8 +353,6 @@ pub struct ClusterConfig {
     pub members: Vec<u32>,
     /// Maximum lease the cluster grants.
     pub max_lease: SimDuration,
-    /// Lease-table shard count (see [`ShardedRegistry`]).
-    pub shards: usize,
     /// Fold the applied prefix into a snapshot (and truncate the log)
     /// every this many applied entries.
     pub snapshot_every: u64,
@@ -377,7 +374,6 @@ impl ClusterConfig {
         ClusterConfig {
             members,
             max_lease: SimDuration::from_secs(10),
-            shards: 4,
             snapshot_every: 64,
             election_quiet: SimDuration::from_millis(600),
             flap: FlapConfig::default(),
@@ -576,7 +572,7 @@ pub struct ReplicaNode {
     snapshot: LeaseSnapshot,
     commit: u64,
     applied: u64,
-    table: ShardedRegistry,
+    table: ServiceRegistry,
     damper: FlapDamper,
     votes: BTreeSet<u32>,
     next: BTreeMap<u32, u64>,
@@ -602,7 +598,7 @@ impl ReplicaNode {
     pub fn new(me: u32, cfg: ClusterConfig) -> Self {
         assert!(cfg.members.contains(&me), "node {me} not a cluster member");
         let role = if cfg.owner_of(0) == me { Role::Primary } else { Role::Follower };
-        let table = ShardedRegistry::new(cfg.shards, cfg.max_lease);
+        let table = ServiceRegistry::new(cfg.max_lease);
         let damper = FlapDamper::new(cfg.flap);
         let mut node = ReplicaNode {
             me,
@@ -646,7 +642,7 @@ impl ReplicaNode {
         let mut node = ReplicaNode::new(me, cfg);
         node.role = Role::Follower;
         node.epoch = durable.epoch;
-        node.table = durable.snapshot.restore(node.cfg.shards, node.cfg.max_lease);
+        node.table = durable.snapshot.restore(node.cfg.max_lease);
         node.commit = durable.snapshot.last_index;
         node.applied = durable.snapshot.last_index;
         node.log_start = durable.log_start;
@@ -731,7 +727,7 @@ impl ReplicaNode {
     }
 
     /// The applied lease table (read-only).
-    pub fn table(&self) -> &ShardedRegistry {
+    pub fn table(&self) -> &ServiceRegistry {
         &self.table
     }
 
@@ -802,7 +798,7 @@ impl ReplicaNode {
     /// Lease-table rows `(id, expires)` for the model checker.
     #[cfg(feature = "model-check")]
     pub fn table_rows(&self) -> Vec<(ServiceId, SimTime)> {
-        self.table.entries().into_iter().map(|(i, e)| (i.id, e)).collect()
+        self.table.entries().map(|(i, e)| (i.id, e)).collect()
     }
 
     /// Number of flap-damper-tracked services (telemetry).
@@ -1228,7 +1224,7 @@ impl ReplicaNode {
         }
         self.last_heard = self.last_heard.max(now);
         if snapshot.last_index > self.commit {
-            self.table = snapshot.restore(self.cfg.shards, self.cfg.max_lease);
+            self.table = snapshot.restore(self.cfg.max_lease);
             self.commit = snapshot.last_index;
             self.applied = snapshot.last_index;
             self.log.clear();

@@ -3,7 +3,7 @@
 //! The replication log ([`crate::replication`]) cannot grow forever: once
 //! entries are committed and applied everywhere they carry no information
 //! the lease table itself doesn't. A [`LeaseSnapshot`] freezes the applied
-//! table — every registration with its exact expiry instant, in global
+//! table — every registration with its exact expiry instant, in
 //! `ServiceId` order — together with the log position it covers
 //! (`last_index`/`last_epoch`), so the log can be truncated up to that
 //! point. A restarted registrar rejoins by decoding its persisted snapshot
@@ -18,7 +18,7 @@
 //! consumes the buffer exactly (`TrailingBytes` otherwise).
 
 use crate::codec::{get_item, put_item, CodecError, ServiceItem};
-use crate::shard::ShardedRegistry;
+use crate::registry::ServiceRegistry;
 use aroma_sim::{SimDuration, SimTime};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -38,24 +38,23 @@ pub struct LeaseSnapshot {
 
 impl LeaseSnapshot {
     /// Freeze `table` as of log position (`last_index`, `last_epoch`).
-    pub fn capture(table: &ShardedRegistry, last_index: u64, last_epoch: u64) -> Self {
+    pub fn capture(table: &ServiceRegistry, last_index: u64, last_epoch: u64) -> Self {
         LeaseSnapshot {
             last_index,
             last_epoch,
             entries: table
                 .entries()
-                .into_iter()
                 .map(|(item, expires)| (item.clone(), expires))
                 .collect(),
         }
     }
 
     /// Rebuild a lease table from this snapshot. Grant policy (`max_lease`)
-    /// and shard count are the restoring registrar's own configuration; the
-    /// stored expiries are installed verbatim, so the restored table equals
-    /// the captured one regardless of either knob.
-    pub fn restore(&self, shards: usize, max_lease: SimDuration) -> ShardedRegistry {
-        let mut table = ShardedRegistry::new(shards, max_lease);
+    /// is the restoring registrar's own configuration; the stored expiries
+    /// are installed verbatim, so the restored table equals the captured
+    /// one whatever its `max_lease`.
+    pub fn restore(&self, max_lease: SimDuration) -> ServiceRegistry {
+        let mut table = ServiceRegistry::new(max_lease);
         for (item, expires) in &self.entries {
             table.install(item.clone(), *expires);
         }
@@ -125,8 +124,8 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    fn table() -> ShardedRegistry {
-        let mut r = ShardedRegistry::new(4, SimDuration::from_secs(10));
+    fn table() -> ServiceRegistry {
+        let mut r = ServiceRegistry::new(SimDuration::from_secs(10));
         for id in [44u64, 7, 190, 3] {
             r.register(t(0), item(id), SimDuration::from_secs(5 + id));
         }
@@ -137,12 +136,11 @@ mod tests {
     fn capture_restore_round_trips_the_table() {
         let orig = table();
         let snap = LeaseSnapshot::capture(&orig, 12, 3);
-        // Restore into a *different* shard count and lease cap: the stored
-        // state must still come back bit-for-bit.
-        let back = snap.restore(7, SimDuration::from_secs(1));
-        let render = |r: &ShardedRegistry| {
+        // Restore under a *different* lease cap: the stored state must
+        // still come back bit-for-bit.
+        let back = snap.restore(SimDuration::from_secs(1));
+        let render = |r: &ServiceRegistry| {
             r.entries()
-                .into_iter()
                 .map(|(i, e)| (i.clone(), e))
                 .collect::<Vec<_>>()
         };
@@ -161,7 +159,7 @@ mod tests {
     fn encoding_is_deterministic() {
         // Two captures of tables built in different orders encode equal.
         let a = LeaseSnapshot::capture(&table(), 5, 1).encode();
-        let mut r = ShardedRegistry::new(4, SimDuration::from_secs(10));
+        let mut r = ServiceRegistry::new(SimDuration::from_secs(10));
         for id in [3u64, 190, 7, 44] {
             r.register(t(0), item(id), SimDuration::from_secs(5 + id));
         }
@@ -195,10 +193,10 @@ mod tests {
 
     #[test]
     fn empty_table_snapshots() {
-        let r = ShardedRegistry::new(2, SimDuration::from_secs(1));
+        let r = ServiceRegistry::new(SimDuration::from_secs(1));
         let snap = LeaseSnapshot::capture(&r, 0, 0);
         let decoded = LeaseSnapshot::decode(snap.encode()).expect("decode");
         assert!(decoded.entries.is_empty());
-        assert!(decoded.restore(2, SimDuration::from_secs(1)).is_empty());
+        assert!(decoded.restore(SimDuration::from_secs(1)).is_empty());
     }
 }

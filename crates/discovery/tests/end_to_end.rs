@@ -4,6 +4,7 @@
 //! present" — exercised with and without that lookup service.
 
 use aroma_discovery::apps::{ClientApp, ProviderApp, ProviderState, RegistrarApp};
+use aroma_discovery::{ClusterConfig, ReplicatedRegistrarApp};
 use aroma_discovery::codec::{EventKind, ServiceId, ServiceItem, Template};
 use aroma_env::radio::RadioEnvironment;
 use aroma_env::space::Point;
@@ -310,14 +311,16 @@ fn lookup_reply_respects_mtu_with_truncation_flag() {
     );
 }
 
-#[test]
-fn full_mac_queue_drops_events_audibly_and_encodes_once() {
+/// One-slot MAC queues: a registration that fans out notifications to
+/// several subscribers can hand the MAC at most one frame — the rest must
+/// be dropped, *counted*, and visible in telemetry, while the transition
+/// is still encoded exactly once for the whole batch. Runs `registrar` as
+/// node 0 with four subscribers and a registrant that sends three
+/// registrations back-to-back once every subscription has landed; returns
+/// the network after 5 s and the subscribers.
+fn fan_out_into_full_queues(registrar: Box<dyn aroma_net::NetApp>) -> (Network, Vec<NodeId>) {
     use aroma_sim::telemetry::TelemetryConfig;
 
-    // One-slot MAC queues: a registration that fans out notifications to
-    // several subscribers can hand the MAC at most one frame — the rest
-    // must be dropped, *counted*, and visible in telemetry, while the
-    // transition is still encoded exactly once for the whole batch.
     let mut net = Network::new(
         quiet(),
         MacConfig {
@@ -327,10 +330,8 @@ fn full_mac_queue_drops_events_audibly_and_encodes_once() {
         11,
     );
     net.attach_telemetry(TelemetryConfig::default());
-    let registrar = net.add_node(
-        NodeConfig::at(Point::new(0.0, 0.0)),
-        Box::new(RegistrarApp::new(SimDuration::from_secs(5))),
-    );
+    let registrar = net.add_node(NodeConfig::at(Point::new(0.0, 0.0)), registrar);
+    assert_eq!(registrar, NodeId(0));
     let subscribers: Vec<NodeId> = (0..4)
         .map(|i| {
             net.add_node(
@@ -341,9 +342,8 @@ fn full_mac_queue_drops_events_audibly_and_encodes_once() {
             )
         })
         .collect();
-    // A registrant that waits until every subscription has landed, then
-    // registers three services back-to-back — three notification
-    // fan-outs of four subscribers each against one-slot queues.
+    // The registrant's own one-slot queue may refuse the later sends;
+    // any registration that lands fans out to four subscribers.
     struct LateRegistrant {
         registrar: NodeId,
     }
@@ -371,22 +371,31 @@ fn full_mac_queue_drops_events_audibly_and_encodes_once() {
         Box::new(LateRegistrant { registrar }),
     );
     net.run_for(SimDuration::from_secs(5));
+    (net, subscribers)
+}
 
-    let reg = net.app_as::<RegistrarApp>(registrar).unwrap();
+/// The registrar's `events_dropped` / `event_encodings` counters after
+/// [`fan_out_into_full_queues`]: drops happened, telemetry agrees with the
+/// app, and the batch was not re-encoded per subscriber.
+fn assert_drops_audible_and_encoded_once(
+    net: &Network,
+    subscribers: &[NodeId],
+    events_dropped: u64,
+    event_encodings: u64,
+) {
     assert!(
-        reg.events_dropped > 0,
+        events_dropped > 0,
         "a 1-slot MAC queue cannot absorb a 4-subscriber fan-out"
     );
     let delivered: usize = subscribers
         .iter()
         .map(|&s| net.app_as::<ClientApp>(s).unwrap().events.len())
         .sum();
-    let reg = net.app_as::<RegistrarApp>(registrar).unwrap();
-    let attempts = reg.events_dropped + delivered as u64;
+    let attempts = events_dropped + delivered as u64;
     assert!(
-        reg.event_encodings < attempts,
+        event_encodings < attempts,
         "{} encodings for {} notification attempts — the batch is re-encoding per subscriber",
-        reg.event_encodings,
+        event_encodings,
         attempts
     );
     let snap = net.telemetry_snapshot().expect("telemetry attached");
@@ -397,7 +406,26 @@ fn full_mac_queue_drops_events_audibly_and_encodes_once() {
         .map(|(_, v)| *v)
         .unwrap_or(0);
     assert_eq!(
-        dropped_counter, reg.events_dropped,
+        dropped_counter, events_dropped,
         "telemetry counter disagrees with the app counter"
     );
+}
+
+#[test]
+fn full_mac_queue_drops_events_audibly_and_encodes_once() {
+    let (net, subscribers) =
+        fan_out_into_full_queues(Box::new(RegistrarApp::new(SimDuration::from_secs(5))));
+    let reg = net.app_as::<RegistrarApp>(NodeId(0)).unwrap();
+    assert_drops_audible_and_encoded_once(&net, &subscribers, reg.events_dropped, reg.event_encodings);
+}
+
+#[test]
+fn replicated_registrar_drops_events_audibly_and_encodes_once() {
+    // A one-member cluster commits on its own append, so the same
+    // registrations fan out through the replicated registrar's notifier.
+    let cluster = ClusterConfig::of(vec![0]);
+    let (net, subscribers) = fan_out_into_full_queues(Box::new(ReplicatedRegistrarApp::new(cluster)));
+    let reg = net.app_as::<ReplicatedRegistrarApp>(NodeId(0)).unwrap();
+    assert!(!reg.replica().unwrap().table().is_empty(), "the registration committed");
+    assert_drops_audible_and_encoded_once(&net, &subscribers, reg.events_dropped, reg.event_encodings);
 }

@@ -199,12 +199,11 @@ proptest! {
     }
 
     /// The snapshot/table round trip: restore() rebuilds exactly the rows
-    /// capture() froze, at any shard count — sharding is unobservable in
-    /// the durable format.
+    /// capture() froze.
     #[test]
-    fn snapshot_restore_matches_capture(snap in arb_snapshot(), shards in 1usize..9) {
+    fn snapshot_restore_matches_capture(snap in arb_snapshot()) {
         use aroma_sim::SimDuration;
-        let table = snap.restore(shards, SimDuration::from_secs(10));
+        let table = snap.restore(SimDuration::from_secs(10));
         let recaptured = LeaseSnapshot::capture(&table, snap.last_index, snap.last_epoch);
         // capture() emits ServiceId order and last-write-wins on duplicate
         // ids; normalise the input the same way before comparing.

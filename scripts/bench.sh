@@ -16,11 +16,11 @@
 # and the entry is APPENDED to BENCH_check.json so the perf trajectory
 # accumulates across engine changes instead of overwriting its history.
 #
-# Pass --discovery for the lease-table scaling mode: the flat
-# ServiceRegistry and the hash-sharded ShardedRegistry are swept at 10^4,
-# 10^5, and 10^6 live leases (register/renew throughput, lookup
-# throughput, and p50/p99 lookup latency), and the entry is APPENDED to
-# BENCH_disc.json under the same trajectory-accumulation contract.
+# Pass --discovery for the lease-table scaling mode: the registrars'
+# ServiceRegistry is swept at 10^4, 10^5, and 10^6 live leases
+# (register/renew throughput, lookup throughput, and p50/p99 lookup
+# latency), and the entry is APPENDED to BENCH_disc.json under the same
+# trajectory-accumulation contract.
 #
 # Pass --fanout for the broadcast fan-out mode: one screen server streams
 # to 10/100/1k/10k viewers over a wired star (msgs per wall-clock second,
