@@ -1,13 +1,15 @@
 //! Wire format for the discovery protocol.
 //!
 //! A small, explicit binary codec (length-prefixed strings, fixed-width
-//! integers, big-endian) rather than a serde format: the MAC's MTU matters
-//! here — lookup replies are packed until they no longer fit, with a
-//! truncation flag, exactly the kind of constraint a 1500-byte frame imposes
-//! on a real discovery protocol.
+//! integers, big-endian; read and written through [`aroma_net::wire`])
+//! rather than a serde format: the MAC's MTU matters here — lookup replies
+//! are packed until they no longer fit, with a truncation flag, exactly the
+//! kind of constraint a 1500-byte frame imposes on a real discovery
+//! protocol.
 
+use aroma_net::wire::{self, put_str16, Reader, WireError};
 use aroma_net::MTU_BYTES;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Globally unique service identifier (provider-generated).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -191,136 +193,68 @@ const TAG_LOOKUP_REPLY: u8 = 9;
 const TAG_SUBSCRIBE: u8 = 10;
 const TAG_EVENT: u8 = 11;
 
-/// Codec errors.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CodecError {
-    /// Buffer ended mid-message.
-    Truncated,
-    /// Unknown message tag.
-    BadTag(u8),
-    /// String was not UTF-8.
-    BadString,
-    /// Bytes remained after a well-formed message — a framing bug or a
-    /// smuggled payload; wire messages must parse exactly.
-    TrailingBytes {
-        /// How many bytes were left over.
-        remaining: usize,
-    },
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "message truncated"),
-            CodecError::BadTag(t) => write!(f, "unknown message tag {t}"),
-            CodecError::BadString => write!(f, "invalid UTF-8 in string"),
-            CodecError::TrailingBytes { remaining } => {
-                write!(f, "{remaining} trailing bytes after message")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-pub(crate) fn put_str(buf: &mut impl BufMut, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "string too long for codec");
-    buf.put_u16(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
-    if buf.remaining() < 2 {
-        return Err(CodecError::Truncated);
-    }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return Err(CodecError::Truncated);
-    }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadString)
-}
+/// Smallest encoding of a [`ServiceItem`]: id, empty kind, no
+/// attributes, provider, empty proxy.
+pub(crate) const MIN_ITEM_LEN: usize = 8 + 2 + 2 + 4 + 2;
 
 pub(crate) fn put_item(buf: &mut impl BufMut, item: &ServiceItem) {
     buf.put_u64(item.id.0);
-    put_str(buf, &item.kind);
-    buf.put_u16(item.attributes.len() as u16);
-    for (k, v) in &item.attributes {
-        put_str(buf, k);
-        put_str(buf, v);
-    }
+    put_str16(buf, &item.kind);
+    put_attributes(buf, &item.attributes);
     buf.put_u32(item.provider);
-    buf.put_u16(item.proxy.len() as u16);
+    buf.put_u16(wire::prefix(item.proxy.len()));
     buf.put_slice(&item.proxy);
 }
 
-pub(crate) fn get_item(buf: &mut Bytes) -> Result<ServiceItem, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    let id = ServiceId(buf.get_u64());
-    let kind = get_str(buf)?;
-    let attributes = get_attributes(buf)?;
-    if buf.remaining() < 6 {
-        return Err(CodecError::Truncated);
-    }
-    let provider = buf.get_u32();
-    let proxy_len = buf.get_u16() as usize;
-    if buf.remaining() < proxy_len {
-        return Err(CodecError::Truncated);
-    }
-    let proxy = buf.split_to(proxy_len);
+pub(crate) fn get_item(r: &mut Reader) -> Result<ServiceItem, WireError> {
     Ok(ServiceItem {
-        id,
-        kind,
-        attributes,
-        provider,
-        proxy,
+        id: ServiceId(r.u64()?),
+        kind: r.str16()?,
+        attributes: get_attributes(r)?,
+        provider: r.u32()?,
+        proxy: r.bytes16()?,
     })
 }
 
-pub(crate) fn put_template(buf: &mut BytesMut, t: &Template) {
+fn put_template(buf: &mut impl BufMut, t: &Template) {
     match &t.kind {
         Some(k) => {
             buf.put_u8(1);
-            put_str(buf, k);
+            put_str16(buf, k);
         }
         None => buf.put_u8(0),
     }
-    buf.put_u16(t.attributes.len() as u16);
-    for (k, v) in &t.attributes {
-        put_str(buf, k);
-        put_str(buf, v);
-    }
+    put_attributes(buf, &t.attributes);
 }
 
-pub(crate) fn get_template(buf: &mut Bytes) -> Result<Template, CodecError> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    let kind = match buf.get_u8() {
+fn get_template(r: &mut Reader) -> Result<Template, WireError> {
+    let kind = match r.u8()? {
         0 => None,
-        1 => Some(get_str(buf)?),
-        flag => return Err(CodecError::BadTag(flag)),
+        1 => Some(r.str16()?),
+        flag => return Err(WireError::BadTag(flag)),
     };
-    let attributes = get_attributes(buf)?;
-    Ok(Template { kind, attributes })
+    Ok(Template {
+        kind,
+        attributes: get_attributes(r)?,
+    })
 }
 
-/// A u16-counted list of key/value string pairs. The reservation is
-/// bounded by what the remaining bytes can hold (a pair takes at least
-/// two u16 length prefixes), so a forged count cannot make a short
-/// message allocate for 65,535 pairs.
-fn get_attributes(buf: &mut Bytes) -> Result<Vec<(String, String)>, CodecError> {
-    if buf.remaining() < 2 {
-        return Err(CodecError::Truncated);
+/// A u16-counted list of key/value string pairs.
+fn put_attributes(buf: &mut impl BufMut, attributes: &[(String, String)]) {
+    buf.put_u16(wire::prefix(attributes.len()));
+    for (k, v) in attributes {
+        put_str16(buf, k);
+        put_str16(buf, v);
     }
-    let n = buf.get_u16() as usize;
-    let mut attributes = Vec::with_capacity(n.min(buf.remaining() / 4));
+}
+
+/// A u16-counted list of key/value string pairs; a pair takes at least
+/// its two u16 length prefixes.
+fn get_attributes(r: &mut Reader) -> Result<Vec<(String, String)>, WireError> {
+    let n = r.u16()? as usize;
+    let mut attributes = Vec::with_capacity(r.capacity(n, 4));
     for _ in 0..n {
-        let k = get_str(buf)?;
-        let v = get_str(buf)?;
-        attributes.push((k, v));
+        attributes.push((r.str16()?, r.str16()?));
     }
     Ok(attributes)
 }
@@ -349,7 +283,7 @@ pub fn pack_lookup_reply(req: u64, matches: &[&ServiceItem]) -> (Bytes, usize) {
         packed += 1;
     }
     buf[header] = (packed < matches.len()) as u8;
-    buf[header + 1..header + 3].copy_from_slice(&(packed as u16).to_be_bytes());
+    buf[header + 1..header + 3].copy_from_slice(&wire::prefix::<u16>(packed).to_be_bytes());
     (Bytes::from(buf), packed)
 }
 
@@ -408,7 +342,7 @@ impl Msg {
                 buf.put_u8(TAG_LOOKUP_REPLY);
                 buf.put_u64(*req);
                 buf.put_u8(*truncated as u8);
-                buf.put_u16(items.len() as u16);
+                buf.put_u16(wire::prefix(items.len()));
                 for item in items {
                     put_item(&mut buf, item);
                 }
@@ -432,105 +366,68 @@ impl Msg {
     }
 
     /// Decode from wire bytes (expects the [`PROTO_DISCOVERY`] prefix).
-    pub fn decode(mut buf: Bytes) -> Result<Msg, CodecError> {
-        if buf.remaining() < 2 {
-            return Err(CodecError::Truncated);
-        }
-        let proto = buf.get_u8();
-        if proto != PROTO_DISCOVERY {
-            return Err(CodecError::BadTag(proto));
-        }
-        let tag = buf.get_u8();
-        let need_u64 = |buf: &mut Bytes| -> Result<u64, CodecError> {
-            if buf.remaining() < 8 {
-                Err(CodecError::Truncated)
-            } else {
-                Ok(buf.get_u64())
-            }
-        };
-        let msg = match tag {
-            TAG_DISCOVER_REQ => Ok(Msg::DiscoverReq {
-                nonce: need_u64(&mut buf)?,
-            }),
-            TAG_DISCOVER_RESP => Ok(Msg::DiscoverResp {
-                nonce: need_u64(&mut buf)?,
-            }),
-            TAG_REGISTER => {
-                let lease_ms = need_u64(&mut buf)?;
-                let item = get_item(&mut buf)?;
-                Ok(Msg::Register { item, lease_ms })
-            }
-            TAG_REGISTER_ACK => Ok(Msg::RegisterAck {
-                id: ServiceId(need_u64(&mut buf)?),
-                granted_ms: need_u64(&mut buf)?,
-            }),
-            TAG_RENEW => Ok(Msg::Renew {
-                id: ServiceId(need_u64(&mut buf)?),
-            }),
-            TAG_RENEW_ACK => {
-                let id = ServiceId(need_u64(&mut buf)?);
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                let ok = buf.get_u8() != 0;
-                let granted_ms = need_u64(&mut buf)?;
-                Ok(Msg::RenewAck {
-                    id,
-                    ok,
-                    granted_ms,
-                })
-            }
-            TAG_UNREGISTER => Ok(Msg::Unregister {
-                id: ServiceId(need_u64(&mut buf)?),
-            }),
-            TAG_LOOKUP => {
-                let req = need_u64(&mut buf)?;
-                let template = get_template(&mut buf)?;
-                Ok(Msg::Lookup { req, template })
-            }
+    pub fn decode(buf: Bytes) -> Result<Msg, WireError> {
+        let mut r = Reader::new(buf);
+        r.tag(PROTO_DISCOVERY)?;
+        let msg = match r.u8()? {
+            TAG_DISCOVER_REQ => Msg::DiscoverReq { nonce: r.u64()? },
+            TAG_DISCOVER_RESP => Msg::DiscoverResp { nonce: r.u64()? },
+            TAG_REGISTER => Msg::Register {
+                lease_ms: r.u64()?,
+                item: get_item(&mut r)?,
+            },
+            TAG_REGISTER_ACK => Msg::RegisterAck {
+                id: ServiceId(r.u64()?),
+                granted_ms: r.u64()?,
+            },
+            TAG_RENEW => Msg::Renew {
+                id: ServiceId(r.u64()?),
+            },
+            TAG_RENEW_ACK => Msg::RenewAck {
+                id: ServiceId(r.u64()?),
+                ok: r.u8()? != 0,
+                granted_ms: r.u64()?,
+            },
+            TAG_UNREGISTER => Msg::Unregister {
+                id: ServiceId(r.u64()?),
+            },
+            TAG_LOOKUP => Msg::Lookup {
+                req: r.u64()?,
+                template: get_template(&mut r)?,
+            },
             TAG_LOOKUP_REPLY => {
-                let req = need_u64(&mut buf)?;
-                if buf.remaining() < 3 {
-                    return Err(CodecError::Truncated);
-                }
-                let truncated = buf.get_u8() != 0;
-                let n = buf.get_u16() as usize;
-                let mut items = Vec::with_capacity(n.min(64));
+                let req = r.u64()?;
+                let truncated = r.u8()? != 0;
+                let n = r.u16()? as usize;
+                let mut items = Vec::with_capacity(r.capacity(n, MIN_ITEM_LEN));
                 for _ in 0..n {
-                    items.push(get_item(&mut buf)?);
+                    items.push(get_item(&mut r)?);
                 }
-                Ok(Msg::LookupReply {
+                Msg::LookupReply {
                     req,
                     items,
                     truncated,
-                })
-            }
-            TAG_SUBSCRIBE => Ok(Msg::Subscribe {
-                template: get_template(&mut buf)?,
-            }),
-            TAG_EVENT => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
                 }
-                let kind = match buf.get_u8() {
+            }
+            TAG_SUBSCRIBE => Msg::Subscribe {
+                template: get_template(&mut r)?,
+            },
+            TAG_EVENT => {
+                let kind = match r.u8()? {
                     0 => EventKind::Registered,
                     1 => EventKind::Expired,
                     2 => EventKind::Unregistered,
                     3 => EventKind::Updated,
-                    t => return Err(CodecError::BadTag(t)),
+                    t => return Err(WireError::BadTag(t)),
                 };
-                let item = get_item(&mut buf)?;
-                Ok(Msg::Event { kind, item })
+                Msg::Event {
+                    kind,
+                    item: get_item(&mut r)?,
+                }
             }
-            t => Err(CodecError::BadTag(t)),
-        }?;
-        // Wire messages must parse exactly; leftover bytes mean a framing
-        // bug or a smuggled payload riding behind the message.
-        if buf.remaining() > 0 {
-            return Err(CodecError::TrailingBytes {
-                remaining: buf.remaining(),
-            });
-        }
+            t => return Err(WireError::BadTag(t)),
+        };
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -628,7 +525,7 @@ mod tests {
             buf.put_slice(&[0xAA, 0xBB]);
             assert_eq!(
                 Msg::decode(buf.freeze()),
-                Err(CodecError::TrailingBytes { remaining: 2 })
+                Err(WireError::TrailingBytes { remaining: 2 })
             );
         }
     }
@@ -637,7 +534,7 @@ mod tests {
     fn unknown_tag_rejected() {
         assert_eq!(
             Msg::decode(Bytes::from_static(&[200, 0, 0])),
-            Err(CodecError::BadTag(200))
+            Err(WireError::BadTag(200))
         );
     }
 
@@ -651,7 +548,17 @@ mod tests {
         buf.put_u64(1); // id
         buf.put_u16(2); // kind length
         buf.put_slice(&[0xFF, 0xFE]); // invalid UTF-8
-        assert_eq!(Msg::decode(buf.freeze()), Err(CodecError::BadString));
+        assert_eq!(Msg::decode(buf.freeze()), Err(WireError::BadString));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit its length prefix")]
+    fn register_with_overlong_proxy_panics() {
+        // A u16 proxy prefix cannot count 65,536 bytes; writing it as 0
+        // and then the whole body would desynchronise the receiver.
+        let mut it = item();
+        it.proxy = Bytes::from(vec![0; 65_536]);
+        Msg::Register { item: it, lease_ms: 1 }.encode();
     }
 
     #[test]
@@ -685,7 +592,7 @@ mod tests {
             buf.put_u64(5);
             buf.put_u8(flag);
             buf.put_u16(0); // no attributes
-            assert_eq!(Msg::decode(buf.freeze()), Err(CodecError::BadTag(flag)));
+            assert_eq!(Msg::decode(buf.freeze()), Err(WireError::BadTag(flag)));
         }
     }
 

@@ -46,12 +46,13 @@
 //! design — after a failover the new primary starts the flapper at zero
 //! penalty, which merely delays re-suppression by a few cycles.
 
-use crate::codec::{get_item, put_item, CodecError, ServiceId, ServiceItem, Template};
+use crate::codec::{get_item, put_item, ServiceId, ServiceItem, Template};
 use crate::flap::{FlapConfig, FlapDamper, FlapDecision};
 use crate::registry::{RegistryEvent, ServiceRegistry};
 use crate::snapshot::LeaseSnapshot;
+use aroma_net::wire::{self, Reader, WireError};
 use aroma_sim::{SimDuration, SimTime};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Protocol discriminator: first byte of every replication message.
@@ -194,36 +195,29 @@ fn put_entry(buf: &mut BytesMut, e: &LogEntry) {
     }
 }
 
-fn get_entry(buf: &mut Bytes) -> Result<LogEntry, CodecError> {
-    if buf.remaining() < 17 {
-        return Err(CodecError::Truncated);
-    }
-    let epoch = buf.get_u64();
-    let at_nanos = buf.get_u64();
-    let op = match buf.get_u8() {
-        OP_REGISTER => {
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            let lease_ms = buf.get_u64();
-            RepOp::Register { item: get_item(buf)?, lease_ms }
-        }
-        OP_RENEW => {
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            RepOp::Renew { id: ServiceId(buf.get_u64()) }
-        }
-        OP_UNREGISTER => {
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            RepOp::Unregister { id: ServiceId(buf.get_u64()) }
-        }
+/// Smallest encoding of a [`LogEntry`]: epoch, time and a `Sweep` op.
+const MIN_ENTRY_LEN: usize = 8 + 8 + 1;
+
+fn get_entry(r: &mut Reader) -> Result<LogEntry, WireError> {
+    let epoch = r.u64()?;
+    let at_nanos = r.u64()?;
+    let op = match r.u8()? {
+        OP_REGISTER => RepOp::Register { lease_ms: r.u64()?, item: get_item(r)? },
+        OP_RENEW => RepOp::Renew { id: ServiceId(r.u64()?) },
+        OP_UNREGISTER => RepOp::Unregister { id: ServiceId(r.u64()?) },
         OP_SWEEP => RepOp::Sweep,
-        t => return Err(CodecError::BadTag(t)),
+        t => return Err(WireError::BadTag(t)),
     };
     Ok(LogEntry { epoch, at_nanos, op })
+}
+
+/// `n` log entries (the count is a u16 in `Append`, a u32 on disk).
+fn get_entries(n: usize, r: &mut Reader) -> Result<Vec<LogEntry>, WireError> {
+    let mut entries = Vec::with_capacity(r.capacity(n, MIN_ENTRY_LEN));
+    for _ in 0..n {
+        entries.push(get_entry(r)?);
+    }
+    Ok(entries)
 }
 
 impl RepMsg {
@@ -239,7 +233,7 @@ impl RepMsg {
                 buf.put_u64(*prev_epoch);
                 buf.put_u64(*commit);
                 buf.put_u64(*sent_nanos);
-                buf.put_u16(entries.len() as u16);
+                buf.put_u16(wire::prefix(entries.len()));
                 for e in entries {
                     put_entry(&mut buf, e);
                 }
@@ -266,7 +260,7 @@ impl RepMsg {
                 buf.put_u64(*epoch);
                 buf.put_u64(*sent_nanos);
                 let blob = snapshot.encode();
-                buf.put_u32(blob.len() as u32);
+                buf.put_u32(wire::prefix(blob.len()));
                 buf.put_slice(&blob);
             }
         }
@@ -274,73 +268,38 @@ impl RepMsg {
     }
 
     /// Decode from wire bytes; must consume the buffer exactly.
-    pub fn decode(mut buf: Bytes) -> Result<RepMsg, CodecError> {
-        if buf.remaining() < 2 {
-            return Err(CodecError::Truncated);
-        }
-        let proto = buf.get_u8();
-        if proto != PROTO_REPLICATION {
-            return Err(CodecError::BadTag(proto));
-        }
-        let tag = buf.get_u8();
-        let need_u64 = |buf: &mut Bytes| -> Result<u64, CodecError> {
-            if buf.remaining() < 8 {
-                Err(CodecError::Truncated)
-            } else {
-                Ok(buf.get_u64())
-            }
+    pub fn decode(buf: Bytes) -> Result<RepMsg, WireError> {
+        let mut r = Reader::new(buf);
+        r.tag(PROTO_REPLICATION)?;
+        let msg = match r.u8()? {
+            TAG_APPEND => RepMsg::Append {
+                epoch: r.u64()?,
+                prev_index: r.u64()?,
+                prev_epoch: r.u64()?,
+                commit: r.u64()?,
+                sent_nanos: r.u64()?,
+                entries: get_entries(r.u16()?.into(), &mut r)?,
+            },
+            TAG_APPEND_ACK => RepMsg::AppendAck {
+                epoch: r.u64()?,
+                ok: r.u8()? != 0,
+                match_index: r.u64()?,
+                heard_nanos: r.u64()?,
+            },
+            TAG_VOTE_REQ => RepMsg::VoteReq {
+                epoch: r.u64()?,
+                last_index: r.u64()?,
+                last_epoch: r.u64()?,
+            },
+            TAG_VOTE_GRANT => RepMsg::VoteGrant { epoch: r.u64()? },
+            TAG_SNAPSHOT_INSTALL => RepMsg::SnapshotInstall {
+                epoch: r.u64()?,
+                sent_nanos: r.u64()?,
+                snapshot: LeaseSnapshot::decode(r.bytes32()?)?,
+            },
+            t => return Err(WireError::BadTag(t)),
         };
-        let msg = match tag {
-            TAG_APPEND => {
-                let epoch = need_u64(&mut buf)?;
-                let prev_index = need_u64(&mut buf)?;
-                let prev_epoch = need_u64(&mut buf)?;
-                let commit = need_u64(&mut buf)?;
-                let sent_nanos = need_u64(&mut buf)?;
-                if buf.remaining() < 2 {
-                    return Err(CodecError::Truncated);
-                }
-                let n = buf.get_u16() as usize;
-                let mut entries = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    entries.push(get_entry(&mut buf)?);
-                }
-                Ok(RepMsg::Append { epoch, prev_index, prev_epoch, commit, sent_nanos, entries })
-            }
-            TAG_APPEND_ACK => {
-                let epoch = need_u64(&mut buf)?;
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                let ok = buf.get_u8() != 0;
-                let match_index = need_u64(&mut buf)?;
-                let heard_nanos = need_u64(&mut buf)?;
-                Ok(RepMsg::AppendAck { epoch, ok, match_index, heard_nanos })
-            }
-            TAG_VOTE_REQ => Ok(RepMsg::VoteReq {
-                epoch: need_u64(&mut buf)?,
-                last_index: need_u64(&mut buf)?,
-                last_epoch: need_u64(&mut buf)?,
-            }),
-            TAG_VOTE_GRANT => Ok(RepMsg::VoteGrant { epoch: need_u64(&mut buf)? }),
-            TAG_SNAPSHOT_INSTALL => {
-                let epoch = need_u64(&mut buf)?;
-                let sent_nanos = need_u64(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let len = buf.get_u32() as usize;
-                if buf.remaining() < len {
-                    return Err(CodecError::Truncated);
-                }
-                let snapshot = LeaseSnapshot::decode(buf.split_to(len))?;
-                Ok(RepMsg::SnapshotInstall { epoch, sent_nanos, snapshot })
-            }
-            t => Err(CodecError::BadTag(t)),
-        }?;
-        if buf.remaining() > 0 {
-            return Err(CodecError::TrailingBytes { remaining: buf.remaining() });
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -508,9 +467,9 @@ impl DurableState {
         buf.put_u64(self.epoch);
         buf.put_u64(self.log_start);
         let blob = self.snapshot.encode();
-        buf.put_u32(blob.len() as u32);
+        buf.put_u32(wire::prefix(blob.len()));
         buf.put_slice(&blob);
-        buf.put_u32(self.log.len() as u32);
+        buf.put_u32(wire::prefix(self.log.len()));
         for e in &self.log {
             put_entry(&mut buf, e);
         }
@@ -518,35 +477,14 @@ impl DurableState {
     }
 
     /// Decode from bytes; must consume the buffer exactly.
-    pub fn decode(mut buf: Bytes) -> Result<Self, CodecError> {
-        if buf.remaining() < 1 {
-            return Err(CodecError::Truncated);
-        }
-        let version = buf.get_u8();
-        if version != DURABLE_VERSION {
-            return Err(CodecError::BadTag(version));
-        }
-        if buf.remaining() < 8 + 8 + 4 {
-            return Err(CodecError::Truncated);
-        }
-        let epoch = buf.get_u64();
-        let log_start = buf.get_u64();
-        let blob_len = buf.get_u32() as usize;
-        if buf.remaining() < blob_len {
-            return Err(CodecError::Truncated);
-        }
-        let snapshot = LeaseSnapshot::decode(buf.split_to(blob_len))?;
-        if buf.remaining() < 4 {
-            return Err(CodecError::Truncated);
-        }
-        let n = buf.get_u32() as usize;
-        let mut log = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            log.push(get_entry(&mut buf)?);
-        }
-        if buf.remaining() > 0 {
-            return Err(CodecError::TrailingBytes { remaining: buf.remaining() });
-        }
+    pub fn decode(buf: Bytes) -> Result<Self, WireError> {
+        let mut r = Reader::new(buf);
+        r.tag(DURABLE_VERSION)?;
+        let epoch = r.u64()?;
+        let log_start = r.u64()?;
+        let snapshot = LeaseSnapshot::decode(r.bytes32()?)?;
+        let log = get_entries(r.u32()? as usize, &mut r)?;
+        r.finish()?;
         Ok(DurableState { epoch, snapshot, log_start, log })
     }
 }
@@ -1809,7 +1747,7 @@ mod tests {
         padded.put_u8(0);
         assert_eq!(
             RepMsg::decode(padded.freeze()),
-            Err(CodecError::TrailingBytes { remaining: 1 })
+            Err(WireError::TrailingBytes { remaining: 1 })
         );
         let full = RepMsg::Append {
             epoch: 1,

@@ -12,15 +12,17 @@
 //! window.
 //!
 //! The encoding is the discovery codec's own discipline (big-endian,
-//! length-prefixed, no self-describing framing): byte-identical for equal
-//! tables, version-prefixed so a future layout bump is an explicit
-//! [`CodecError::BadTag`] instead of silent misparsing, and `decode`
-//! consumes the buffer exactly (`TrailingBytes` otherwise).
+//! length-prefixed, no self-describing framing, read through
+//! [`aroma_net::wire`]): byte-identical for equal tables, version-prefixed
+//! so a future layout bump is an explicit [`WireError::BadTag`] instead of
+//! silent misparsing, and `decode` consumes the buffer exactly
+//! (`TrailingBytes` otherwise).
 
-use crate::codec::{get_item, put_item, CodecError, ServiceItem};
+use crate::codec::{get_item, put_item, ServiceItem, MIN_ITEM_LEN};
 use crate::registry::ServiceRegistry;
+use aroma_net::wire::{self, Reader, WireError};
 use aroma_sim::{SimDuration, SimTime};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Current snapshot layout version (first byte on the wire).
 pub const SNAPSHOT_VERSION: u8 = 1;
@@ -67,7 +69,7 @@ impl LeaseSnapshot {
         buf.put_u8(SNAPSHOT_VERSION);
         buf.put_u64(self.last_index);
         buf.put_u64(self.last_epoch);
-        buf.put_u32(self.entries.len() as u32);
+        buf.put_u32(wire::prefix(self.entries.len()));
         for (item, expires) in &self.entries {
             put_item(&mut buf, item);
             buf.put_u64(expires.as_nanos());
@@ -76,31 +78,18 @@ impl LeaseSnapshot {
     }
 
     /// Decode from bytes; must consume the buffer exactly.
-    pub fn decode(mut buf: Bytes) -> Result<Self, CodecError> {
-        if buf.remaining() < 1 {
-            return Err(CodecError::Truncated);
-        }
-        let version = buf.get_u8();
-        if version != SNAPSHOT_VERSION {
-            return Err(CodecError::BadTag(version));
-        }
-        if buf.remaining() < 8 + 8 + 4 {
-            return Err(CodecError::Truncated);
-        }
-        let last_index = buf.get_u64();
-        let last_epoch = buf.get_u64();
-        let n = buf.get_u32() as usize;
-        let mut entries = Vec::with_capacity(n.min(4096));
+    pub fn decode(buf: Bytes) -> Result<Self, WireError> {
+        let mut r = Reader::new(buf);
+        r.tag(SNAPSHOT_VERSION)?;
+        let last_index = r.u64()?;
+        let last_epoch = r.u64()?;
+        let n = r.u32()? as usize;
+        // A row is an item and its expiry instant.
+        let mut entries = Vec::with_capacity(r.capacity(n, MIN_ITEM_LEN + 8));
         for _ in 0..n {
-            let item = get_item(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            entries.push((item, SimTime::from_nanos(buf.get_u64())));
+            entries.push((get_item(&mut r)?, SimTime::from_nanos(r.u64()?)));
         }
-        if buf.remaining() > 0 {
-            return Err(CodecError::TrailingBytes { remaining: buf.remaining() });
-        }
+        r.finish()?;
         Ok(LeaseSnapshot { last_index, last_epoch, entries })
     }
 }
@@ -173,7 +162,7 @@ mod tests {
         let mut raw = BytesMut::new();
         raw.put_u8(SNAPSHOT_VERSION + 1);
         raw.put_slice(&good.slice(1..));
-        assert_eq!(LeaseSnapshot::decode(raw.freeze()), Err(CodecError::BadTag(SNAPSHOT_VERSION + 1)));
+        assert_eq!(LeaseSnapshot::decode(raw.freeze()), Err(WireError::BadTag(SNAPSHOT_VERSION + 1)));
     }
 
     #[test]
@@ -187,7 +176,7 @@ mod tests {
         padded.put_u8(0xEE);
         assert_eq!(
             LeaseSnapshot::decode(padded.freeze()),
-            Err(CodecError::TrailingBytes { remaining: 1 })
+            Err(WireError::TrailingBytes { remaining: 1 })
         );
     }
 

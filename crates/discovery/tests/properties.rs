@@ -89,18 +89,18 @@ proptest! {
         let _ = Msg::decode(Bytes::from(bytes));
     }
 
-    /// Every strict prefix of a valid encoding fails to decode as that
-    /// message (no silent truncation), except prefixes that happen to be a
-    /// complete shorter message of the same tag — impossible here because
-    /// our encodings have no optional trailing fields.
+    /// Every strict prefix of a valid encoding is rejected (no silent
+    /// truncation), and so is the encoding with one byte appended (no
+    /// silent garbage after a valid body).
     #[test]
-    fn codec_prefixes_fail(msg in arb_msg()) {
+    fn codec_prefixes_fail(msg in arb_msg(), extra in any::<u8>()) {
         let encoded = msg.encode();
         for cut in 0..encoded.len() {
-            if let Ok(m) = Msg::decode(encoded.slice(0..cut)) {
-                prop_assert_ne!(m, msg.clone(), "prefix {} decoded to the full message", cut);
-            }
+            prop_assert!(Msg::decode(encoded.slice(0..cut)).is_err(), "prefix {} decoded", cut);
         }
+        let mut padded = encoded[..].to_vec();
+        padded.push(extra);
+        prop_assert!(Msg::decode(Bytes::from(padded)).is_err());
     }
 
     /// Registry: a registration is visible until its lease lapses and

@@ -145,16 +145,14 @@ proptest! {
         let _ = DurableState::decode(Bytes::from(bytes));
     }
 
-    /// A strict prefix of a valid encoding never decodes to the full
-    /// value (no silent truncation), and extra trailing bytes are an
-    /// explicit error (no silent garbage after a valid body).
+    /// Every strict prefix of a valid encoding is rejected (no silent
+    /// truncation), and extra trailing bytes are an explicit error (no
+    /// silent garbage after a valid body).
     #[test]
     fn repmsg_prefixes_and_suffixes_fail(msg in arb_msg()) {
         let encoded = msg.encode();
         for cut in 0..encoded.len() {
-            if let Ok(m) = RepMsg::decode(encoded.slice(0..cut)) {
-                prop_assert_ne!(m, msg.clone(), "prefix {} decoded to the full message", cut);
-            }
+            prop_assert!(RepMsg::decode(encoded.slice(0..cut)).is_err(), "prefix {} decoded", cut);
         }
         let mut padded = encoded[..].to_vec();
         padded.push(0);
@@ -166,9 +164,7 @@ proptest! {
     fn snapshot_prefixes_and_suffixes_fail(snap in arb_snapshot()) {
         let encoded = snap.encode();
         for cut in 0..encoded.len() {
-            if let Ok(s) = LeaseSnapshot::decode(encoded.slice(0..cut)) {
-                prop_assert_ne!(s, snap.clone(), "prefix {} decoded to the full snapshot", cut);
-            }
+            prop_assert!(LeaseSnapshot::decode(encoded.slice(0..cut)).is_err(), "prefix {} decoded", cut);
         }
         let mut padded = encoded[..].to_vec();
         padded.push(0);
@@ -180,9 +176,7 @@ proptest! {
     fn durable_prefixes_and_suffixes_fail(d in arb_durable()) {
         let encoded = d.encode();
         for cut in 0..encoded.len() {
-            if let Ok(v) = DurableState::decode(encoded.slice(0..cut)) {
-                prop_assert_ne!(v, d.clone(), "prefix {} decoded to the full blob", cut);
-            }
+            prop_assert!(DurableState::decode(encoded.slice(0..cut)).is_err(), "prefix {} decoded", cut);
         }
         let mut padded = encoded[..].to_vec();
         padded.push(0);

@@ -106,7 +106,9 @@ impl Program {
             return Err(ProgramError::Decode(DecodeError::BadOpcode(magic)));
         }
         let n = bytes.get_u16() as usize;
-        let mut ops = Vec::with_capacity(n.min(4096));
+        // Every op takes at least one byte, so the remaining input bounds
+        // what a forged count may reserve.
+        let mut ops = Vec::with_capacity(n.min(bytes.remaining()));
         for _ in 0..n {
             ops.push(Op::decode_from(&mut bytes).map_err(ProgramError::Decode)?);
         }

@@ -25,6 +25,9 @@
 //!   substrates (discovery, VNC, the Smart Projector) implement protocols.
 //! * **Traffic** ([`traffic`]) — reusable source/sink/echo applications for
 //!   load generation and tests.
+//! * **Wire** ([`wire`]) — the one reader and length-prefix writer that
+//!   every protocol above the MAC (discovery, replication, VNC, projector
+//!   control) frames its messages with.
 //!
 //! Everything is deterministic given the network seed.
 
@@ -38,6 +41,7 @@ pub mod mobility;
 pub mod network;
 pub mod phy;
 pub mod traffic;
+pub mod wire;
 
 pub use frame::{Address, Frame, FrameKind, NodeId, MTU_BYTES};
 pub use mac::MacConfig;

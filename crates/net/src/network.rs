@@ -38,15 +38,11 @@ use aroma_env::space::Point;
 use aroma_sim::faults::{FaultOp, FaultSchedule};
 use aroma_sim::stats::Summary;
 use aroma_sim::telemetry::{Layer, Recorder, Snapshot, Telemetry, TelemetryConfig};
-use aroma_sim::{EventId, EventQueue, SimDuration, SimRng, SimTime};
+use aroma_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use bytes::Bytes;
 use std::any::Any;
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Handle to a pending application timer (cancellable).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimerId(EventId);
 
 /// Static configuration of one node.
 #[derive(Clone, Debug)]
@@ -333,7 +329,7 @@ impl NetCtx<'_> {
     /// Arm a timer; `token` is handed back to
     /// [`NetApp::on_timer`] when it fires. Under an active clock-skew fault
     /// the delay is stretched or compressed by the node's skew factor.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
+    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let info = &self.core.nodes[self.node.0 as usize];
         let delay = if info.skew == 1.0 {
             delay
@@ -341,19 +337,14 @@ impl NetCtx<'_> {
             SimDuration::from_nanos((delay.as_nanos() as f64 * info.skew).round() as u64)
         };
         let epoch = info.timer_epoch;
-        TimerId(self.core.queue.schedule_in(
+        self.core.queue.schedule_in(
             delay,
             Event::AppTimer {
                 node: self.node,
                 token,
                 epoch,
             },
-        ))
-    }
-
-    /// Cancel a pending timer (no-op if it already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        self.core.queue.cancel(id.0)
+        );
     }
 
     /// Mean SNR (dB, interference-free) of the link to `peer` — what a
@@ -1652,29 +1643,6 @@ mod tests {
         assert_eq!(app.fired[0].1, 7);
         assert_eq!(app.fired[1].1, 42);
         assert_eq!(app.fired[1].0, SimTime::ZERO + SimDuration::from_millis(5));
-    }
-
-    #[test]
-    fn cancelled_timer_does_not_fire() {
-        struct CancelApp {
-            fired: u32,
-        }
-        impl NetApp for CancelApp {
-            fn on_start(&mut self, ctx: &mut NetCtx<'_>) {
-                let id = ctx.set_timer(SimDuration::from_millis(5), 1);
-                assert!(ctx.cancel_timer(id));
-            }
-            fn on_timer(&mut self, _ctx: &mut NetCtx<'_>, _t: u64) {
-                self.fired += 1;
-            }
-        }
-        let mut net = Network::new(quiet_env(), MacConfig::default(), 6);
-        let n = net.add_node(
-            NodeConfig::at(Point::new(0.0, 0.0)),
-            Box::new(CancelApp { fired: 0 }),
-        );
-        net.run_for(SimDuration::from_millis(20));
-        assert_eq!(net.app_as::<CancelApp>(n).unwrap().fired, 0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! commands. Replies carry explicit denial reasons so the laptop's workflow
 //! (and the experiments) can distinguish "busy" from "bad token".
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use aroma_net::wire::{put_str16, Reader, WireError};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Protocol discriminator for control messages.
 pub const PROTO_CONTROL: u8 = 0xC7;
@@ -92,38 +93,12 @@ fn put_service(b: &mut BytesMut, s: Service) {
     });
 }
 
-fn get_service(b: &mut Bytes) -> Option<Service> {
-    if b.remaining() < 1 {
-        return None;
+fn get_service(r: &mut Reader) -> Result<Service, WireError> {
+    match r.u8()? {
+        0 => Ok(Service::Projection),
+        1 => Ok(Service::Control),
+        s => Err(WireError::BadTag(s)),
     }
-    match b.get_u8() {
-        0 => Some(Service::Projection),
-        1 => Some(Service::Control),
-        _ => None,
-    }
-}
-
-/// Write `s` behind a u16 length prefix. A string longer than the prefix
-/// can count is cut at the last char boundary that fits, so the prefix
-/// always matches the body and the body stays valid UTF-8.
-fn put_str(b: &mut BytesMut, s: &str) {
-    let mut len = s.len().min(u16::MAX as usize);
-    while !s.is_char_boundary(len) {
-        len -= 1;
-    }
-    b.put_u16(len as u16);
-    b.put_slice(&s.as_bytes()[..len]);
-}
-
-fn get_str(b: &mut Bytes) -> Option<String> {
-    if b.remaining() < 2 {
-        return None;
-    }
-    let len = b.get_u16() as usize;
-    if b.remaining() < len {
-        return None;
-    }
-    String::from_utf8(b.split_to(len).to_vec()).ok()
 }
 
 impl CtlMsg {
@@ -144,7 +119,7 @@ impl CtlMsg {
             CtlMsg::Denied { service, reason } => {
                 b.put_u8(TAG_DENIED);
                 put_service(&mut b, *service);
-                put_str(&mut b, reason);
+                put_str16(&mut b, reason);
             }
             CtlMsg::Release { service, token } => {
                 b.put_u8(TAG_RELEASE);
@@ -166,7 +141,7 @@ impl CtlMsg {
             }
             CtlMsg::CommandDenied { reason } => {
                 b.put_u8(TAG_COMMAND_DENIED);
-                put_str(&mut b, reason);
+                put_str16(&mut b, reason);
             }
         }
         b.freeze()
@@ -175,61 +150,44 @@ impl CtlMsg {
     /// Decode from wire bytes. Strict: a message must fill `b` exactly
     /// (trailing bytes are rejected), and a command without an argument
     /// must carry a zero argument byte.
-    pub fn decode(mut b: Bytes) -> Option<CtlMsg> {
-        if b.remaining() < 2 || b.get_u8() != PROTO_CONTROL {
-            return None;
-        }
-        let msg = match b.get_u8() {
+    pub fn decode(b: Bytes) -> Result<CtlMsg, WireError> {
+        let mut r = Reader::new(b);
+        r.tag(PROTO_CONTROL)?;
+        let msg = match r.u8()? {
             TAG_ACQUIRE => CtlMsg::Acquire {
-                service: get_service(&mut b)?,
+                service: get_service(&mut r)?,
             },
-            TAG_GRANTED => {
-                let service = get_service(&mut b)?;
-                if b.remaining() < 8 {
-                    return None;
-                }
-                CtlMsg::Granted {
-                    service,
-                    token: b.get_u64(),
-                }
-            }
+            TAG_GRANTED => CtlMsg::Granted {
+                service: get_service(&mut r)?,
+                token: r.u64()?,
+            },
             TAG_DENIED => CtlMsg::Denied {
-                service: get_service(&mut b)?,
-                reason: get_str(&mut b)?,
+                service: get_service(&mut r)?,
+                reason: r.str16()?,
             },
-            TAG_RELEASE => {
-                let service = get_service(&mut b)?;
-                if b.remaining() < 8 {
-                    return None;
-                }
-                CtlMsg::Release {
-                    service,
-                    token: b.get_u64(),
-                }
-            }
+            TAG_RELEASE => CtlMsg::Release {
+                service: get_service(&mut r)?,
+                token: r.u64()?,
+            },
             TAG_COMMAND => {
-                if b.remaining() < 10 {
-                    return None;
-                }
-                let token = b.get_u64();
-                let kind = b.get_u8();
-                let arg = b.get_u8();
-                let cmd = match kind {
-                    0 if arg == 0 => ProjectorCommand::PowerOn,
-                    1 if arg == 0 => ProjectorCommand::PowerOff,
-                    2 => ProjectorCommand::SelectInput(arg),
-                    3 => ProjectorCommand::Brightness(arg),
-                    _ => return None,
+                let token = r.u64()?;
+                let cmd = match (r.u8()?, r.u8()?) {
+                    (0, 0) => ProjectorCommand::PowerOn,
+                    (1, 0) => ProjectorCommand::PowerOff,
+                    (2, arg) => ProjectorCommand::SelectInput(arg),
+                    (3, arg) => ProjectorCommand::Brightness(arg),
+                    (kind, _) => return Err(WireError::BadTag(kind)),
                 };
                 CtlMsg::Command { token, cmd }
             }
             TAG_COMMAND_OK => CtlMsg::CommandOk,
             TAG_COMMAND_DENIED => CtlMsg::CommandDenied {
-                reason: get_str(&mut b)?,
+                reason: r.str16()?,
             },
-            _ => return None,
+            t => return Err(WireError::BadTag(t)),
         };
-        (b.remaining() == 0).then_some(msg)
+        r.finish()?;
+        Ok(msg)
     }
 }
 
@@ -280,7 +238,7 @@ mod tests {
     #[test]
     fn all_variants_round_trip() {
         for m in all_variants() {
-            assert_eq!(CtlMsg::decode(m.encode()), Some(m));
+            assert_eq!(CtlMsg::decode(m.encode()), Ok(m));
         }
     }
 
@@ -289,7 +247,7 @@ mod tests {
         let m = CtlMsg::CommandOk.encode();
         let mut wrong = m.to_vec();
         wrong[0] = 0xD1;
-        assert_eq!(CtlMsg::decode(Bytes::from(wrong)), None);
+        assert_eq!(CtlMsg::decode(Bytes::from(wrong)), Err(WireError::BadTag(0xD1)));
     }
 
     #[test]
@@ -297,7 +255,11 @@ mod tests {
         for m in all_variants() {
             let mut long = m.encode().to_vec();
             long.push(0);
-            assert_eq!(CtlMsg::decode(Bytes::from(long)), None, "{m:?} + 1 byte");
+            assert_eq!(
+                CtlMsg::decode(Bytes::from(long)),
+                Err(WireError::TrailingBytes { remaining: 1 }),
+                "{m:?} + 1 byte"
+            );
         }
     }
 
@@ -312,7 +274,7 @@ mod tests {
             *wire.last_mut().expect("command has an argument byte") = 1;
             assert_eq!(
                 CtlMsg::decode(Bytes::from(wire)),
-                None,
+                Err(WireError::BadTag(kind)),
                 "{cmd:?} with arg 1"
             );
         }
@@ -326,7 +288,7 @@ mod tests {
             reason: reason.clone(),
         }
         .encode();
-        let Some(CtlMsg::CommandDenied { reason: got }) = CtlMsg::decode(wire) else {
+        let Ok(CtlMsg::CommandDenied { reason: got }) = CtlMsg::decode(wire) else {
             panic!("an overlong reason must still encode a decodable message");
         };
         assert_eq!(got.len(), u16::MAX as usize - 1);
@@ -341,7 +303,7 @@ mod tests {
         }
         .encode();
         for cut in 0..m.len() {
-            assert!(CtlMsg::decode(m.slice(0..cut)).is_none(), "prefix {cut}");
+            assert!(CtlMsg::decode(m.slice(0..cut)).is_err(), "prefix {cut}");
         }
     }
 }

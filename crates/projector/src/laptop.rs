@@ -332,7 +332,7 @@ impl PresenterLaptopApp {
     }
 
     fn handle_control(&mut self, ctx: &mut NetCtx<'_>, payload: &Bytes) {
-        let Some(msg) = CtlMsg::decode(payload.clone()) else {
+        let Ok(msg) = CtlMsg::decode(payload.clone()) else {
             return;
         };
         match msg {

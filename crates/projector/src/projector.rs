@@ -235,7 +235,7 @@ impl SmartProjectorApp {
     }
 
     fn handle_control(&mut self, ctx: &mut NetCtx<'_>, from: NodeId, payload: &Bytes) {
-        let Some(msg) = CtlMsg::decode(payload.clone()) else {
+        let Ok(msg) = CtlMsg::decode(payload.clone()) else {
             return;
         };
         let now = ctx.now();

@@ -119,7 +119,7 @@ proptest! {
             CtlMsg::CommandDenied { reason },
         ];
         for m in msgs {
-            prop_assert_eq!(CtlMsg::decode(m.encode()), Some(m));
+            prop_assert_eq!(CtlMsg::decode(m.encode()), Ok(m));
         }
     }
 

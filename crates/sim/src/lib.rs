@@ -41,6 +41,6 @@ pub mod sweep;
 pub mod telemetry;
 pub mod time;
 
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -46,35 +46,6 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Cancelled events are never delivered; everything else is.
-    #[test]
-    fn event_queue_cancellation_exact(
-        times in prop::collection::vec(0u64..10_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q: EventQueue<usize> = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule_at(SimTime::from_nanos(t), i))
-            .collect();
-        let mut expect: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                prop_assert!(q.cancel(*id));
-            } else {
-                expect.push(i);
-            }
-        }
-        let mut got: Vec<usize> = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            got.push(e);
-        }
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
-
     /// Summary::merge is equivalent to recording all observations into one
     /// collector, for any split point.
     #[test]

@@ -5,6 +5,7 @@
 //! smaller per tile — slides compress enormously, noise video does not,
 //! which is precisely the content-dependence E1 measures.
 
+use aroma_net::wire::{self, Reader, WireError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Encoding identifier on the wire.
@@ -29,16 +30,15 @@ pub struct EncodedTile {
     pub data: Bytes,
 }
 
-/// Decode errors.
+/// Pixel-payload decode errors (the tile stream around the payloads is
+/// read with [`aroma_net::wire`] and fails with its `WireError`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DecodeError {
     /// Payload length is wrong for the encoding.
     BadLength,
     /// RLE runs do not sum to a full tile.
     BadRunTotal,
-    /// Unknown encoding id.
-    BadEncoding(u8),
-    /// Buffer ended mid-structure.
+    /// Buffer ended mid-run.
     Truncated,
 }
 
@@ -47,8 +47,7 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::BadLength => write!(f, "payload length invalid for encoding"),
             DecodeError::BadRunTotal => write!(f, "RLE runs do not cover the tile"),
-            DecodeError::BadEncoding(e) => write!(f, "unknown encoding {e}"),
-            DecodeError::Truncated => write!(f, "tile stream truncated"),
+            DecodeError::Truncated => write!(f, "RLE run truncated"),
         }
     }
 }
@@ -166,11 +165,11 @@ pub fn append_tile_record(out: &mut Vec<u8>, tx: u16, ty: u16, pixels: &[u16], r
     out.extend_from_slice(&ty.to_be_bytes());
     if rle_wins {
         out.push(1); // Encoding::Rle
-        out.extend_from_slice(&(rle_scratch.len() as u32).to_be_bytes());
+        out.extend_from_slice(&wire::prefix::<u32>(rle_scratch.len()).to_be_bytes());
         out.extend_from_slice(rle_scratch);
     } else {
         out.push(0); // Encoding::Raw
-        out.extend_from_slice(&((pixels.len() * 2) as u32).to_be_bytes());
+        out.extend_from_slice(&wire::prefix::<u32>(pixels.len() * 2).to_be_bytes());
         for &p in pixels {
             out.extend_from_slice(&p.to_le_bytes());
         }
@@ -194,7 +193,7 @@ pub fn decode_tile(tile: &EncodedTile, expected: usize) -> Result<Vec<u16>, Deco
 /// Serialise a sequence of encoded tiles into one byte stream.
 pub fn write_tile_stream(tiles: &[EncodedTile]) -> Bytes {
     let mut out = BytesMut::new();
-    out.put_u16(tiles.len() as u16);
+    out.put_u16(wire::prefix(tiles.len()));
     for t in tiles {
         out.put_u16(t.tx);
         out.put_u16(t.ty);
@@ -202,42 +201,34 @@ pub fn write_tile_stream(tiles: &[EncodedTile]) -> Bytes {
             Encoding::Raw => 0,
             Encoding::Rle => 1,
         });
-        out.put_u32(t.data.len() as u32);
+        out.put_u32(wire::prefix(t.data.len()));
         out.put_slice(&t.data);
     }
     out.freeze()
 }
 
-/// Parse a tile stream produced by [`write_tile_stream`].
-pub fn read_tile_stream(mut data: Bytes) -> Result<Vec<EncodedTile>, DecodeError> {
-    if data.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let n = data.get_u16() as usize;
-    let mut out = Vec::with_capacity(n.min(4096));
+/// Smallest tile record: position, encoding and an empty payload.
+const MIN_TILE_RECORD: usize = 2 + 2 + 1 + 4;
+
+/// Parse a tile stream produced by [`write_tile_stream`]; the stream must
+/// end with its last tile record.
+pub fn read_tile_stream(data: Bytes) -> Result<Vec<EncodedTile>, WireError> {
+    let mut r = Reader::new(data);
+    let n = r.u16()? as usize;
+    let mut out = Vec::with_capacity(r.capacity(n, MIN_TILE_RECORD));
     for _ in 0..n {
-        if data.remaining() < 9 {
-            return Err(DecodeError::Truncated);
-        }
-        let tx = data.get_u16();
-        let ty = data.get_u16();
-        let encoding = match data.get_u8() {
-            0 => Encoding::Raw,
-            1 => Encoding::Rle,
-            e => return Err(DecodeError::BadEncoding(e)),
-        };
-        let len = data.get_u32() as usize;
-        if data.remaining() < len {
-            return Err(DecodeError::Truncated);
-        }
-        let payload = data.split_to(len);
         out.push(EncodedTile {
-            tx,
-            ty,
-            encoding,
-            data: payload,
+            tx: r.u16()?,
+            ty: r.u16()?,
+            encoding: match r.u8()? {
+                0 => Encoding::Raw,
+                1 => Encoding::Rle,
+                e => return Err(WireError::BadTag(e)),
+            },
+            data: r.bytes32()?,
         });
     }
+    r.finish()?;
     Ok(out)
 }
 
@@ -350,6 +341,13 @@ mod tests {
     fn empty_tile_stream_is_valid() {
         let stream = write_tile_stream(&[]);
         assert_eq!(read_tile_stream(stream).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn tile_stream_rejects_unknown_encoding() {
+        let mut stream = write_tile_stream(&[encode_tile(0, 0, &vec![1u16; N])]).to_vec();
+        stream[6] = 7; // count(2) + tx(2) + ty(2), then the encoding byte
+        assert_eq!(read_tile_stream(Bytes::from(stream)), Err(WireError::BadTag(7)));
     }
 
     #[test]

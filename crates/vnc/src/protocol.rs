@@ -1,8 +1,9 @@
 //! VNC-style wire protocol: client-pull update requests and MTU-sized
 //! update chunks.
 
+use aroma_net::wire::{self, Reader, WireError};
 use aroma_net::MTU_BYTES;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Protocol discriminator: first byte of every VNC message, so apps
 /// multiplexing several protocols on one node can route unambiguously.
@@ -46,21 +47,6 @@ pub enum VncMsg {
     },
 }
 
-/// Protocol decode errors.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum VncCodecError {
-    /// Buffer too short.
-    Truncated,
-    /// Unknown tag byte.
-    BadTag(u8),
-    /// Bytes remained after a well-formed message — a framing bug or a
-    /// smuggled payload; wire messages must parse exactly.
-    TrailingBytes {
-        /// How many bytes were left over.
-        remaining: usize,
-    },
-}
-
 impl VncMsg {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Bytes {
@@ -91,7 +77,7 @@ impl VncMsg {
                 b.put_u32(*update_id);
                 b.put_u16(*seq);
                 b.put_u8(*last as u8);
-                b.put_u32(payload.len() as u32);
+                b.put_u32(wire::prefix(payload.len()));
                 b.put_slice(payload);
                 b.freeze()
             }
@@ -99,52 +85,23 @@ impl VncMsg {
     }
 
     /// Decode from wire bytes (expects the [`PROTO_VNC`] prefix).
-    pub fn decode(mut buf: Bytes) -> Result<VncMsg, VncCodecError> {
-        if buf.remaining() < 2 {
-            return Err(VncCodecError::Truncated);
-        }
-        let proto = buf.get_u8();
-        if proto != PROTO_VNC {
-            return Err(VncCodecError::BadTag(proto));
-        }
-        let msg = match buf.get_u8() {
-            tag @ (TAG_UPDATE_REQUEST | TAG_UPDATE_REQUEST_COARSE) => {
-                if buf.remaining() < 1 {
-                    return Err(VncCodecError::Truncated);
-                }
-                VncMsg::UpdateRequest {
-                    incremental: buf.get_u8() != 0,
-                    coarse: tag == TAG_UPDATE_REQUEST_COARSE,
-                }
-            }
-            TAG_UPDATE_CHUNK => {
-                if buf.remaining() < 11 {
-                    return Err(VncCodecError::Truncated);
-                }
-                let update_id = buf.get_u32();
-                let seq = buf.get_u16();
-                let last = buf.get_u8() != 0;
-                let len = buf.get_u32() as usize;
-                if buf.remaining() < len {
-                    return Err(VncCodecError::Truncated);
-                }
-                let payload = buf.split_to(len);
-                VncMsg::UpdateChunk {
-                    update_id,
-                    seq,
-                    last,
-                    payload,
-                }
-            }
-            t => return Err(VncCodecError::BadTag(t)),
+    pub fn decode(buf: Bytes) -> Result<VncMsg, WireError> {
+        let mut r = Reader::new(buf);
+        r.tag(PROTO_VNC)?;
+        let msg = match r.u8()? {
+            tag @ (TAG_UPDATE_REQUEST | TAG_UPDATE_REQUEST_COARSE) => VncMsg::UpdateRequest {
+                incremental: r.u8()? != 0,
+                coarse: tag == TAG_UPDATE_REQUEST_COARSE,
+            },
+            TAG_UPDATE_CHUNK => VncMsg::UpdateChunk {
+                update_id: r.u32()?,
+                seq: r.u16()?,
+                last: r.u8()? != 0,
+                payload: r.bytes32()?,
+            },
+            t => return Err(WireError::BadTag(t)),
         };
-        // Wire messages must parse exactly; leftover bytes mean a framing
-        // bug or a smuggled payload riding behind the message.
-        if buf.remaining() > 0 {
-            return Err(VncCodecError::TrailingBytes {
-                remaining: buf.remaining(),
-            });
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -196,7 +153,7 @@ pub fn encode_chunk_frames_into(update_id: u32, stream: &[u8], out: &mut Vec<Byt
         buf.put_u32(update_id);
         buf.put_u16(seq);
         buf.put_u8(last as u8);
-        buf.put_u32((end - offset) as u32);
+        buf.put_u32(wire::prefix(end - offset));
         buf.put_slice(&stream[offset..end]);
         if last {
             break;
@@ -575,15 +532,15 @@ mod tests {
     fn decode_rejects_garbage() {
         assert_eq!(
             VncMsg::decode(Bytes::from_static(&[99, 0])),
-            Err(VncCodecError::BadTag(99))
+            Err(WireError::BadTag(99))
         );
         assert_eq!(
             VncMsg::decode(Bytes::from_static(&[PROTO_VNC, 99])),
-            Err(VncCodecError::BadTag(99))
+            Err(WireError::BadTag(99))
         );
         assert_eq!(
             VncMsg::decode(Bytes::new()),
-            Err(VncCodecError::Truncated)
+            Err(WireError::Truncated)
         );
         // Truncated chunk length.
         let full = VncMsg::UpdateChunk {
@@ -619,7 +576,7 @@ mod tests {
             b.put_u8(0xAB);
             assert_eq!(
                 VncMsg::decode(b.freeze()),
-                Err(VncCodecError::TrailingBytes { remaining: 1 })
+                Err(WireError::TrailingBytes { remaining: 1 })
             );
         }
     }

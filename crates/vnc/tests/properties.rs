@@ -46,6 +46,30 @@ fn arb_tile_pixels() -> impl Strategy<Value = Vec<u16>> {
     ]
 }
 
+fn arb_vnc_msg() -> impl Strategy<Value = VncMsg> {
+    prop_oneof![
+        (any::<bool>(), any::<bool>())
+            .prop_map(|(incremental, coarse)| VncMsg::UpdateRequest { incremental, coarse }),
+        (any::<u32>(), any::<u16>(), any::<bool>(), prop::collection::vec(any::<u8>(), 0..200))
+            .prop_map(|(update_id, seq, last, payload)| VncMsg::UpdateChunk {
+                update_id,
+                seq,
+                last,
+                payload: Bytes::from(payload),
+            }),
+    ]
+}
+
+/// A tile stream carrying `tiles`, each encoded the way the server picks.
+fn tile_stream(tiles: &[Vec<u16>]) -> Bytes {
+    let encoded: Vec<_> = tiles
+        .iter()
+        .enumerate()
+        .map(|(i, px)| encode_tile(i as u16, (i * 3) as u16, px))
+        .collect();
+    write_tile_stream(&encoded)
+}
+
 proptest! {
     /// A slide deck's frame is its slide: equal slides, equal screens.
     #[test]
@@ -177,6 +201,44 @@ proptest! {
     fn vnc_msg_round_trip(update_id in any::<u32>(), seq in any::<u16>(), last in any::<bool>(), payload in prop::collection::vec(any::<u8>(), 0..200)) {
         let m = VncMsg::UpdateChunk { update_id, seq, last, payload: Bytes::from(payload) };
         prop_assert_eq!(VncMsg::decode(m.encode()).unwrap(), m);
+    }
+
+    /// Decoding arbitrary bytes never panics, as a message or as a tile
+    /// stream: it returns Ok or Err.
+    #[test]
+    fn decode_arbitrary_bytes_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        let _ = VncMsg::decode(Bytes::from(bytes.clone()));
+        let _ = read_tile_stream(Bytes::from(bytes));
+    }
+
+    /// Every strict prefix of a message or a tile stream is rejected: no
+    /// silent truncation.
+    #[test]
+    fn strict_prefixes_are_rejected(msg in arb_vnc_msg(), tiles in prop::collection::vec(arb_tile_pixels(), 0..4)) {
+        let wire = msg.encode();
+        for cut in 0..wire.len() {
+            prop_assert!(VncMsg::decode(wire.slice(0..cut)).is_err(), "message prefix {} decoded", cut);
+        }
+        let stream = tile_stream(&tiles);
+        for cut in 0..stream.len() {
+            prop_assert!(read_tile_stream(stream.slice(0..cut)).is_err(), "stream prefix {} decoded", cut);
+        }
+    }
+
+    /// A message or tile stream with one byte appended is rejected: no
+    /// silent garbage after a valid body.
+    #[test]
+    fn appended_byte_is_rejected(
+        msg in arb_vnc_msg(),
+        tiles in prop::collection::vec(arb_tile_pixels(), 0..4),
+        extra in any::<u8>(),
+    ) {
+        let mut wire = msg.encode()[..].to_vec();
+        wire.push(extra);
+        prop_assert!(VncMsg::decode(Bytes::from(wire)).is_err());
+        let mut stream = tile_stream(&tiles)[..].to_vec();
+        stream.push(extra);
+        prop_assert!(read_tile_stream(Bytes::from(stream)).is_err());
     }
 
     /// Framebuffer tile write/read round-trips at any grid position.

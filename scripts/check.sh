@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Full local gate: release build, test suite, warning-free clippy, the
-# model checker in smoke mode (bounded exhaustive sweep of the session,
-# lease, and registrar-replication protocols — see DESIGN.md §9/§15) run
+# Full local gate: release build, test suite, warning-free clippy, every
+# Criterion stub bench function run once (`CRITERION_STUB_MS=0 cargo bench
+# -p lpc-bench`, so the 21 bench targets build and run), the model checker
+# in smoke mode (bounded exhaustive sweep of the session, lease, and
+# registrar-replication protocols — see DESIGN.md §9/§15) run
 # sequentially and with 2 and 4 workers and diffed (the sharded engine's
 # determinism contract, DESIGN.md §12), one traced smoke experiment
 # exercising the telemetry pipeline end to end (DESIGN.md §10), the
@@ -22,6 +24,11 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+
+# Bench smoke: a zero budget makes the Criterion stub run each bench
+# function for a single iteration, so an API change that breaks a bench
+# target, or a bench that panics, fails the gate.
+CRITERION_STUB_MS=0 cargo bench -p lpc-bench
 
 # Parallel-determinism gate: the 50k-state smoke sweep must print the
 # byte-identical report at 1, 2, and 4 workers (only the
