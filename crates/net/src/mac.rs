@@ -1,5 +1,5 @@
 //! CSMA/CA MAC: timing constants, per-node state machine data, and the
-//! binary-exponential backoff arithmetic.
+//! binary-exponential backoff and countdown arithmetic.
 //!
 //! The state machine itself is driven by the event loop in [`crate::network`];
 //! this module holds the pure parts so they can be unit-tested in isolation.
@@ -64,10 +64,14 @@ impl MacConfig {
 pub enum MacState {
     /// Nothing to send.
     Idle,
-    /// Contending: counting down `remaining` backoff slots.
+    /// Contending: waiting for an idle medium and DIFS, then counting down
+    /// `remaining` backoff slots.
     Contending {
-        /// Slots left before transmission.
+        /// Slots left before transmission, as of `counted_at`.
         remaining: u32,
+        /// The last slot boundary the countdown handled; `None` until DIFS
+        /// ends, and again after a busy medium froze the countdown.
+        counted_at: Option<SimTime>,
     },
     /// A frame of ours is on the air.
     Transmitting,
@@ -86,8 +90,33 @@ pub enum TickPhase {
     Poll,
     /// DIFS elapsed; begin/resume slot countdown.
     AfterDifs,
-    /// One backoff slot elapsed.
+    /// A countdown tick at a slot boundary: the countdown's end, or a wake
+    /// where the medium may have turned busy (the idle slots before it are
+    /// folded in without an event each).
     Slot,
+}
+
+/// The first slot boundary of a running countdown at or after `t` (strictly
+/// after `t` when `strictly`), if it comes before the countdown's last
+/// boundary. The countdown handled boundary `at` with `remaining` slots to
+/// go, so its boundaries fall every `slot` after `at`, and the tick already
+/// scheduled at the last one, `at + remaining × slot`, covers that boundary
+/// and ends the countdown.
+pub fn countdown_boundary(
+    at: SimTime,
+    remaining: u32,
+    slot: SimDuration,
+    t: SimTime,
+    strictly: bool,
+) -> Option<SimTime> {
+    let since = t.saturating_since(at).as_nanos();
+    let slot_ns = slot.as_nanos();
+    let k = if strictly {
+        since / slot_ns + 1
+    } else {
+        since.div_ceil(slot_ns)
+    };
+    (k > 0 && k < u64::from(remaining)).then(|| at + slot * k)
 }
 
 /// A queued outgoing frame with bookkeeping.
@@ -113,8 +142,6 @@ pub struct MacNode {
     pub gen: u64,
     /// Next MAC sequence number.
     pub next_seq: u16,
-    /// The medium is known busy for this node until this instant.
-    pub busy_until: SimTime,
     /// Frames dropped at enqueue because the queue was full.
     pub queue_drops: u64,
 }
@@ -127,7 +154,6 @@ impl MacNode {
             queue: VecDeque::new(),
             gen: 0,
             next_seq: 0,
-            busy_until: SimTime::ZERO,
             queue_drops: 0,
         }
     }
@@ -137,18 +163,6 @@ impl MacNode {
         let s = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         s
-    }
-
-    /// Is the medium busy for this node at `now`?
-    pub fn medium_busy(&self, now: SimTime) -> bool {
-        now < self.busy_until
-    }
-
-    /// Note carrier energy on the medium until `until`.
-    pub fn mark_busy_until(&mut self, until: SimTime) {
-        if until > self.busy_until {
-            self.busy_until = until;
-        }
     }
 
     /// Invalidate outstanding tick/timeout events and return the new
@@ -213,12 +227,23 @@ mod tests {
     }
 
     #[test]
-    fn busy_marking_is_monotone() {
-        let mut m = MacNode::new();
-        m.mark_busy_until(SimTime::from_nanos(100));
-        m.mark_busy_until(SimTime::from_nanos(50)); // earlier: ignored
-        assert!(m.medium_busy(SimTime::from_nanos(99)));
-        assert!(!m.medium_busy(SimTime::from_nanos(100)));
+    fn countdown_boundaries_lie_on_the_slot_grid() {
+        let slot = SimDuration::from_micros(20);
+        let at = SimTime::from_nanos(1_000_000);
+        let us = |n: u64| at + SimDuration::from_micros(n);
+        // Strictly after: a start on a boundary wakes at the next one.
+        assert_eq!(countdown_boundary(at, 5, slot, at, true), Some(us(20)));
+        assert_eq!(countdown_boundary(at, 5, slot, us(20), true), Some(us(40)));
+        assert_eq!(countdown_boundary(at, 5, slot, us(21), true), Some(us(40)));
+        // At or after: a boundary counts, the handled one does not.
+        assert_eq!(countdown_boundary(at, 5, slot, us(20), false), Some(us(20)));
+        assert_eq!(countdown_boundary(at, 5, slot, us(21), false), Some(us(40)));
+        assert_eq!(countdown_boundary(at, 5, slot, at, false), None);
+        // The last boundary (here +100 µs) belongs to the end tick.
+        assert_eq!(countdown_boundary(at, 5, slot, us(79), true), Some(us(80)));
+        assert_eq!(countdown_boundary(at, 5, slot, us(80), true), None);
+        assert_eq!(countdown_boundary(at, 5, slot, us(81), false), None);
+        assert_eq!(countdown_boundary(at, 1, slot, at, true), None);
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! The shared radio medium: who is on the air, and what each receiver hears.
 //!
-//! Keeps the set of in-flight (and recently finished) transmissions so that,
-//! when a frame ends, the receiver's SINR can be integrated over every
-//! overlapping transmission — co-channel or partially overlapping channels —
-//! using the propagation model from `aroma-env`. Carrier sense queries run
-//! against the same bookkeeping, so hidden terminals (out of CS range but in
-//! interference range of the receiver) arise naturally.
+//! Keeps the set of in-flight transmissions, plus the finished ones that
+//! overlap them, so that, when a frame ends, the receiver's SINR can be
+//! integrated over every overlapping transmission — co-channel or partially
+//! overlapping channels — using the propagation model from `aroma-env`.
+//! Carrier sense queries run against the same bookkeeping, so hidden
+//! terminals (out of CS range but in interference range of the receiver)
+//! arise naturally.
 
 use crate::frame::{Frame, NodeId};
 use crate::phy::{Rate, CS_THRESHOLD_DBM};
-use aroma_env::radio::{dbm_to_mw, Channel, RadioEnvironment};
+use aroma_env::radio::{Channel, RadioEnvironment};
 use aroma_env::space::Point;
 use aroma_sim::SimTime;
 
-/// Identifier of one transmission on the medium.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Identifier of one transmission on the medium, in registration order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);
 
 /// One transmission, in flight or recently completed.
@@ -40,11 +41,34 @@ pub struct Transmission {
     pub frame: Frame,
 }
 
+/// Does a listener at `pos` on `channel` sense `t`? True when `t` delivers
+/// energy above the carrier-sense threshold, weighted by spectral overlap,
+/// and always for the listener's own transmission — a radio cannot
+/// decrement backoff while its own PA is on. Carrier sense
+/// ([`Medium::busy_for`]) and the network's backoff wakes share it.
+pub fn senses(
+    env: &RadioEnvironment,
+    t: &Transmission,
+    listener: NodeId,
+    pos: Point,
+    channel: Channel,
+) -> bool {
+    if t.src == listener {
+        return true;
+    }
+    let overlap = channel.overlap(t.channel);
+    overlap > 0.0
+        && env.received_dbm(t.tx_dbm, t.src.key(), t.src_pos, listener.key(), pos)
+            + 10.0 * overlap.log10()
+            >= CS_THRESHOLD_DBM
+}
+
 /// Bookkeeping for the shared medium.
 #[derive(Debug, Default)]
 pub struct Medium {
-    /// Transmissions whose `end` has not yet been processed, plus a recent
-    /// tail kept for interference integration.
+    /// Registered transmissions in id order: every one that has not ended,
+    /// plus the ended ones that overlap them (kept for interference
+    /// integration and half-duplex checks).
     txs: Vec<Transmission>,
     next_id: u64,
     /// Carrier-sense watermark: every transmission in `txs[..sensed_floor]`
@@ -70,14 +94,34 @@ impl Medium {
         id
     }
 
-    /// Fetch a transmission by id (it may already have ended).
+    /// Fetch a transmission by id (it may already have ended). Ids are
+    /// handed out in registration order and pruning keeps that order, so
+    /// this is a binary search.
     pub fn get(&self, id: TxId) -> Option<&Transmission> {
-        self.txs.iter().find(|t| t.id == id)
+        let i = self.txs.binary_search_by_key(&id, |t| t.id).ok()?;
+        Some(&self.txs[i])
     }
 
-    /// Drop transmissions that ended before `horizon` (they can no longer
-    /// overlap anything in flight).
-    pub fn prune(&mut self, horizon: SimTime) {
+    /// Registered transmissions that start at or after `now` (an ACK is
+    /// registered a SIFS before it starts).
+    pub fn starting_from(&self, now: SimTime) -> impl Iterator<Item = &Transmission> {
+        self.txs.iter().filter(move |t| t.start >= now)
+    }
+
+    /// Drop every transmission that can no longer matter at `now` or later:
+    /// the horizon is the earliest start of any transmission with
+    /// `end >= now` (`>=` keeps those whose same-instant end is not handled
+    /// yet), and a transmission that ended before it overlaps none of them,
+    /// nor anything registered later. Every SINR, half-duplex and
+    /// carrier-sense answer from then on is unchanged.
+    pub fn prune(&mut self, now: SimTime) {
+        let horizon = self
+            .txs
+            .iter()
+            .filter(|t| t.end >= now)
+            .map(|t| t.start)
+            .min()
+            .unwrap_or(now);
         self.txs.retain(|t| t.end >= horizon);
         self.sensed_floor = 0;
     }
@@ -88,11 +132,7 @@ impl Medium {
     }
 
     /// Is the medium busy for a listener at `pos` on `channel` at `now`?
-    ///
-    /// True when any in-flight transmission delivers energy above the
-    /// carrier-sense threshold, weighted by spectral overlap. The listener's
-    /// own transmission (if any) also counts — a radio cannot decrement
-    /// backoff while its own PA is on.
+    /// Returns the latest end of the in-flight transmissions it [`senses`].
     pub fn busy_for(
         &mut self,
         env: &RadioEnvironment,
@@ -118,20 +158,10 @@ impl Medium {
             // yet (zero propagation delay would otherwise serialise slot
             // collisions out of existence — the slot-granularity collisions
             // CSMA/CA actually suffers from).
-            if t.start >= now || t.end <= now {
+            if t.start >= now || t.end <= now || Some(t.end) <= latest {
                 continue;
             }
-            let sensed = if t.src == listener {
-                f64::INFINITY // own transmission: certainly busy
-            } else {
-                let overlap = channel.overlap(t.channel);
-                if overlap <= 0.0 {
-                    continue;
-                }
-                env.received_dbm(t.tx_dbm, t.src.key(), t.src_pos, listener.key(), pos)
-                    + 10.0 * overlap.log10()
-            };
-            if sensed >= CS_THRESHOLD_DBM && Some(t.end) > latest {
+            if senses(env, t, listener, pos, channel) {
                 latest = Some(t.end);
             }
         }
@@ -187,27 +217,6 @@ impl Medium {
         self.txs
             .iter()
             .any(|t| t.src == listener && t.start < end && t.end > start)
-    }
-
-    /// Linear interference power (mW) present at `pos` on `channel` at `now`
-    /// — used by diagnostics and tests.
-    pub fn interference_mw(
-        &self,
-        env: &RadioEnvironment,
-        listener: NodeId,
-        pos: Point,
-        channel: Channel,
-        now: SimTime,
-    ) -> f64 {
-        self.txs
-            .iter()
-            .filter(|t| t.src != listener && t.start <= now && t.end > now)
-            .map(|t| {
-                let ov = channel.overlap(t.channel);
-                dbm_to_mw(env.received_dbm(t.tx_dbm, t.src.key(), t.src_pos, listener.key(), pos))
-                    * ov
-            })
-            .sum()
     }
 }
 
@@ -394,25 +403,25 @@ mod tests {
     }
 
     #[test]
-    fn prune_removes_stale_transmissions() {
+    fn prune_keeps_what_overlaps_the_unfinished() {
         let mut m = Medium::new();
-        m.begin(tx(1, 0.0, Channel::CH6, 0, 100));
-        m.begin(tx(2, 0.0, Channel::CH6, 0, 10_000));
-        m.prune(SimTime::from_nanos(5_000));
-        assert_eq!(m.retained(), 1);
-    }
-
-    #[test]
-    fn interference_power_sums_sources() {
-        let mut m = Medium::new();
-        let e = env();
-        let p = Point::new(5.0, 0.0);
-        let t = SimTime::from_nanos(50);
-        assert_eq!(m.interference_mw(&e, NodeId(9), p, Channel::CH6, t), 0.0);
-        m.begin(tx(1, 0.0, Channel::CH6, 0, 100));
-        let one = m.interference_mw(&e, NodeId(9), p, Channel::CH6, t);
-        m.begin(tx(2, 10.0, Channel::CH6, 0, 100));
-        let two = m.interference_mw(&e, NodeId(9), p, Channel::CH6, t);
-        assert!(two > one && one > 0.0);
+        let old = m.begin(tx(1, 0.0, Channel::CH6, 0, 100));
+        let overlap = m.begin(tx(2, 0.0, Channel::CH6, 4_000, 6_000));
+        let ending = m.begin(tx(3, 0.0, Channel::CH6, 5_000, 8_000));
+        let live = m.begin(tx(4, 0.0, Channel::CH6, 7_000, 10_000));
+        // At 8 µs the earliest start among `end >= now` is 5 µs: the
+        // transmission that ended at 6 µs overlaps it and stays.
+        m.prune(SimTime::from_nanos(8_000));
+        assert_eq!(m.retained(), 3);
+        assert!(m.get(old).is_none());
+        assert!(m.get(overlap).is_some() && m.get(ending).is_some());
+        // Past 8 µs only the live one and what overlaps it remain.
+        m.prune(SimTime::from_nanos(8_001));
+        assert_eq!(m.retained(), 2);
+        assert!(m.get(overlap).is_none());
+        assert_eq!(m.get(live).map(|t| t.src), Some(NodeId(4)));
+        // Nothing unfinished: everything goes.
+        m.prune(SimTime::from_nanos(10_001));
+        assert_eq!(m.retained(), 0);
     }
 }

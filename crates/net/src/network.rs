@@ -12,10 +12,16 @@
 //!
 //! Four event kinds drive everything:
 //!
-//! * `MacTick` — one step of a node's CSMA/CA contention (poll-after-busy,
-//!   DIFS expiry, or one backoff slot). Ticks are stamped with the node's
-//!   MAC generation; bumping the generation invalidates outstanding ticks,
-//!   which is cheaper and simpler than cancelling them.
+//! * `MacTick` — one step of a node's CSMA/CA contention: poll-after-busy,
+//!   DIFS expiry, or a countdown tick at a backoff-slot boundary. After
+//!   DIFS a node schedules one tick at the end of its countdown, not one
+//!   per slot. A transmission the node senses wakes it at its first slot
+//!   boundary after the transmission starts, and so does a move, so every
+//!   boundary where the medium could turn busy still gets a tick; the
+//!   ticks fold in the idle slots between them. Ticks are stamped with the
+//!   node's MAC generation; bumping the generation (a freeze, a new cycle)
+//!   invalidates outstanding ticks, which is cheaper and simpler than
+//!   cancelling them.
 //! * `TxEnd` — a transmission leaves the air; receivers evaluate SINR and
 //!   the frame either dies or is delivered/acknowledged.
 //! * `AckTimeout` — a unicast sender gave up waiting; binary-exponential
@@ -27,10 +33,16 @@
 //! partitions, burst loss beyond the PHY model, clock skew and application
 //! process kills, all driven by the fault plane's own RNG stream so an
 //! empty schedule never perturbs a run.
+//!
+//! Events due at the same instant run in a fixed order of kind, then id
+//! (`Event::tie_key`): faults, mobility, transmission ends, ACK timeouts,
+//! wired deliveries, app timers, and MAC ticks last in node-id order. So
+//! which events share an instant decides the run, not when each was
+//! scheduled, and a tick the countdown skips cannot reorder the others.
 
 use crate::frame::{Address, Frame, FrameKind, NodeId, ACK_BYTES, MTU_BYTES};
-use crate::mac::{MacConfig, MacNode, MacState, TickPhase, TxJob};
-use crate::medium::{Medium, Transmission, TxId};
+use crate::mac::{countdown_boundary, MacConfig, MacNode, MacState, TickPhase, TxJob};
+use crate::medium::{senses, Medium, Transmission, TxId};
 use crate::mobility::MobilityPath;
 use crate::phy::{airtime, packet_error_rate, Rate, RateAdaptation};
 use aroma_env::radio::{Channel, RadioEnvironment};
@@ -409,6 +421,23 @@ impl Event {
             Event::Fault { .. } => "Fault",
         }
     }
+
+    /// Same-instant order (DESIGN.md §14): kind rank in the top byte, then
+    /// the id the event concerns. Faults land first and mobility moves
+    /// nodes next, then frames end; MAC ticks go last, in node-id order.
+    fn tie_key(&self) -> u64 {
+        let (rank, id) = match self {
+            Event::Fault { index } => (0, u64::from(*index)),
+            Event::MobilityTick { node } => (1, node.key()),
+            Event::TxEnd { tx } => (2, tx.0),
+            Event::AckTimeout { node, .. } => (3, node.key()),
+            Event::WiredDeliver { to, .. } => (4, to.key()),
+            Event::AppTimer { node, .. } => (5, node.key()),
+            Event::MacTick { node, .. } => (6, node.key()),
+        };
+        debug_assert!(id < 1 << 56, "tie id {id} overflows its field");
+        rank << 56 | id
+    }
 }
 
 enum AppCall {
@@ -477,7 +506,14 @@ struct Core {
     rng: SimRng,
     stats: NetStats,
     pending: Vec<AppCall>,
-    prune_counter: u32,
+    /// Nodes whose backoff countdown is running (`counted_at` is set), so
+    /// a new transmission checks these for a wake and not every node.
+    counting: Vec<NodeId>,
+    /// Test-only reference: also tick every counting node at each of its
+    /// slot boundaries, which replays the per-slot countdown (every tick
+    /// then folds in no skipped slot).
+    #[cfg(test)]
+    per_slot: bool,
     wired: Vec<WiredLink>,
     /// Cable lookup by normalised `(min, max)` node pair — `wired_link` is
     /// on the per-frame send path, and a linear scan over ten thousand
@@ -497,6 +533,30 @@ struct Core {
 /// ACK wait: SIFS + ACK airtime at the base rate + two slots of grace.
 fn ack_timeout(cfg: &MacConfig) -> SimDuration {
     cfg.sifs + airtime(ACK_BYTES as u64 * 8, Rate::R2) + cfg.slot * 2
+}
+
+/// Where a counting node must be woken for transmission `t`: its first
+/// slot boundary strictly after `t` starts, when the node senses `t` and
+/// `t` is still on the air there. That is the first boundary at which a
+/// tick would find `t` busy (carrier sense ignores a transmission at the
+/// instant it starts). `None` when no such boundary comes before the
+/// countdown's own end tick, which then does the check itself.
+fn wake_for(
+    env: &RadioEnvironment,
+    slot: SimDuration,
+    id: NodeId,
+    node: &NodeInfo,
+    t: &Transmission,
+) -> Option<SimTime> {
+    let MacState::Contending {
+        remaining,
+        counted_at: Some(at),
+    } = node.mac.state
+    else {
+        return None;
+    };
+    let wake = countdown_boundary(at, remaining, slot, t.start, true)?;
+    (wake < t.end && senses(env, t, id, node.pos, node.channel)).then_some(wake)
 }
 
 impl Core {
@@ -587,7 +647,10 @@ impl Core {
         let node = self.node(id);
         let attempt = node.mac.queue.front().map(|j| j.retries).unwrap_or(0);
         let remaining = cfg.draw_backoff(attempt, &mut node.rng);
-        node.mac.state = MacState::Contending { remaining };
+        node.mac.state = MacState::Contending {
+            remaining,
+            counted_at: None,
+        };
         let gen = node.mac.bump_gen();
         self.rec.count("net.mac.contention_rounds", 1);
         self.rec.event(
@@ -608,25 +671,43 @@ impl Core {
 
     fn on_tick(&mut self, id: NodeId, gen: u64, phase: TickPhase) {
         let now = self.queue.now();
-        {
-            let node = &self.nodes[id.0 as usize];
-            if node.mac.gen != gen {
-                return; // stale tick from a previous contention cycle
+        let slot = self.cfg.slot;
+        let node = &mut self.nodes[id.0 as usize];
+        if node.mac.gen != gen {
+            return; // stale tick from a previous contention cycle or countdown
+        }
+        let MacState::Contending {
+            remaining,
+            counted_at,
+        } = &mut node.mac.state
+        else {
+            return;
+        };
+        if let Some(at) = *counted_at {
+            // A countdown tick. Every boundary since the last handled one
+            // was idle, or a wake would have come sooner: fold those slots.
+            if now == at {
+                return; // a second tick at a boundary already handled
             }
-            let MacState::Contending { .. } = node.mac.state else {
-                return;
-            };
+            let slots = (now - at).as_nanos() / slot.as_nanos();
+            debug_assert!(
+                at + slot * slots == now && slots <= u64::from(*remaining),
+                "countdown tick at {now} is off the grid of {at} with {remaining} slots left"
+            );
+            *remaining -= slots as u32 - 1;
+            *counted_at = Some(now);
         }
         // Carrier sense against the live medium.
-        let (pos, ch) = {
-            let n = &self.nodes[id.0 as usize];
-            (n.pos, n.channel)
-        };
-        if let Some(busy_end) = self.medium.busy_for(&self.env, id, pos, ch, now) {
+        if let Some(busy_end) = self
+            .medium
+            .busy_for(&self.env, id, node.pos, node.channel, now)
+        {
             // Busy: freeze the countdown, poll again when the sensed
-            // transmission ends.
-            let delay = busy_end.saturating_since(now);
-            self.schedule_tick(id, gen, TickPhase::Poll, delay);
+            // transmission ends. The new generation retires the
+            // countdown's end tick and any wakes.
+            self.stop_countdown(id);
+            let gen = self.node(id).mac.bump_gen();
+            self.schedule_tick(id, gen, TickPhase::Poll, busy_end.saturating_since(now));
             return;
         }
         match phase {
@@ -635,20 +716,80 @@ impl Core {
                 self.schedule_tick(id, gen, TickPhase::AfterDifs, self.cfg.difs);
             }
             TickPhase::AfterDifs | TickPhase::Slot => {
-                let node = self.node(id);
-                let MacState::Contending { remaining } = &mut node.mac.state else {
-                    unreachable!("checked above");
-                };
-                if phase == TickPhase::Slot && *remaining > 0 {
+                if phase == TickPhase::Slot {
                     *remaining -= 1;
                 }
                 if *remaining == 0 {
+                    self.stop_countdown(id);
                     self.transmit_head(id);
-                } else {
-                    self.schedule_tick(id, gen, TickPhase::Slot, self.cfg.slot);
+                    return;
+                }
+                if phase == TickPhase::AfterDifs {
+                    // Start the countdown: one tick at its end, and a wake
+                    // for each registered transmission it senses that has
+                    // yet to start (an ACK registers a SIFS early).
+                    *counted_at = Some(now);
+                    let end = slot * u64::from(*remaining);
+                    self.counting.push(id);
+                    self.schedule_tick(id, gen, TickPhase::Slot, end);
+                    self.wake_for_registered(id);
+                }
+                #[cfg(test)]
+                if self.per_slot {
+                    self.schedule_tick(id, gen, TickPhase::Slot, slot);
                 }
             }
         }
+    }
+
+    /// End `id`'s countdown, if one is running: clear its boundary and take
+    /// it off the counting list.
+    fn stop_countdown(&mut self, id: NodeId) {
+        if let MacState::Contending { counted_at, .. } = &mut self.node(id).mac.state {
+            *counted_at = None;
+        }
+        if let Some(i) = self.counting.iter().position(|&n| n == id) {
+            self.counting.swap_remove(i);
+        }
+    }
+
+    /// Wake counting node `id` for every registered transmission that
+    /// starts at or after now, wherever [`wake_for`] says.
+    fn wake_for_registered(&mut self, id: NodeId) {
+        let node = &self.nodes[id.0 as usize];
+        for t in self.medium.starting_from(self.queue.now()) {
+            if let Some(at) = wake_for(&self.env, self.cfg.slot, id, node, t) {
+                let (gen, phase) = (node.mac.gen, TickPhase::Slot);
+                self.queue.schedule_at(
+                    at,
+                    Event::MacTick {
+                        node: id,
+                        gen,
+                        phase,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Register `tx` on the medium, first waking every counting node that
+    /// will sense it.
+    fn begin(&mut self, tx: Transmission) -> TxId {
+        for &id in &self.counting {
+            let node = &self.nodes[id.0 as usize];
+            if let Some(at) = wake_for(&self.env, self.cfg.slot, id, node, &tx) {
+                let (gen, phase) = (node.mac.gen, TickPhase::Slot);
+                self.queue.schedule_at(
+                    at,
+                    Event::MacTick {
+                        node: id,
+                        gen,
+                        phase,
+                    },
+                );
+            }
+        }
+        self.medium.begin(tx)
     }
 
     fn transmit_head(&mut self, id: NodeId) {
@@ -672,7 +813,7 @@ impl Core {
             (job.frame.clone(), rate, n.pos, n.channel, n.tx_dbm)
         };
         let air = airtime(frame.wire_bits(), rate);
-        let tx = self.medium.begin(Transmission {
+        let tx = self.begin(Transmission {
             id: TxId(0),
             src: id,
             src_pos: pos,
@@ -706,7 +847,7 @@ impl Core {
             return;
         }
         let n = &self.nodes[from.0 as usize];
-        let tx = self.medium.begin(Transmission {
+        let tx = self.begin(Transmission {
             id: TxId(0),
             src: from,
             src_pos: n.pos,
@@ -728,7 +869,6 @@ impl Core {
     }
 
     fn on_tx_end(&mut self, tx_id: TxId) {
-        let now = self.queue.now();
         let Some(t) = self.medium.get(tx_id).cloned() else {
             return; // pruned (cannot happen before its TxEnd, but be safe)
         };
@@ -736,12 +876,8 @@ impl Core {
             FrameKind::Data => self.finish_data(&t),
             FrameKind::Ack => self.finish_ack(&t),
         }
-        // Periodically drop transmissions too old to overlap anything.
-        self.prune_counter += 1;
-        if self.prune_counter.is_multiple_of(64) {
-            let horizon = SimTime::from_nanos(now.as_nanos().saturating_sub(50_000_000));
-            self.medium.prune(horizon);
-        }
+        // Drop what can no longer overlap a transmission on the air.
+        self.medium.prune(self.queue.now());
     }
 
     fn receive_ok(&mut self, t: &Transmission, rx: NodeId) -> bool {
@@ -1082,7 +1218,6 @@ impl Core {
         node.timer_epoch += 1;
         let dropped = node.mac.queue.len() as u64;
         node.mac.queue.clear();
-        node.mac.state = MacState::Idle;
         // Invalidate outstanding MacTick/AckTimeout events. The sequence
         // counter deliberately survives so late ACKs for pre-crash frames
         // can never be confused with post-restart traffic.
@@ -1090,6 +1225,8 @@ impl Core {
         if drop_state {
             node.dedup.clear();
         }
+        self.stop_countdown(id);
+        self.node(id).mac.state = MacState::Idle;
         let fp = self.faults.as_mut().expect("fault op without a plane");
         fp.stats.node_crashes += 1;
         fp.stats.queued_frames_dropped += dropped;
@@ -1136,10 +1273,29 @@ impl Core {
 
     fn on_mobility_tick(&mut self, id: NodeId) {
         let now = self.queue.now();
-        let Some(path) = self.nodes[id.0 as usize].mobility.clone() else {
+        let node = &mut self.nodes[id.0 as usize];
+        let Some(path) = node.mobility.clone() else {
             return;
         };
-        self.nodes[id.0 as usize].pos = path.position_at(now);
+        let pos = path.position_at(now);
+        if pos != node.pos {
+            node.pos = pos;
+            // A counting node now senses every transmission from elsewhere:
+            // wake it at its next boundary (mobility runs before the MAC
+            // ticks of its instant, so that may be now) for those on the
+            // air, and for each registered one yet to start.
+            if let MacState::Contending {
+                remaining,
+                counted_at: Some(at),
+            } = node.mac.state
+            {
+                if let Some(wake) = countdown_boundary(at, remaining, self.cfg.slot, now, false) {
+                    let gen = node.mac.gen;
+                    self.schedule_tick(id, gen, TickPhase::Slot, wake - now);
+                }
+                self.wake_for_registered(id);
+            }
+        }
         if now < path.ends_at() {
             self.queue
                 .schedule_in(path.update_period, Event::MobilityTick { node: id });
@@ -1159,7 +1315,7 @@ impl Network {
     pub fn new(env: RadioEnvironment, cfg: MacConfig, seed: u64) -> Self {
         Network {
             core: Core {
-                queue: EventQueue::new(),
+                queue: EventQueue::keyed(Event::tie_key),
                 env,
                 cfg,
                 nodes: Vec::new(),
@@ -1167,7 +1323,9 @@ impl Network {
                 rng: SimRng::new(seed),
                 stats: NetStats::default(),
                 pending: Vec::new(),
-                prune_counter: 0,
+                counting: Vec::new(),
+                #[cfg(test)]
+                per_slot: false,
                 wired: Vec::new(),
                 wired_index: HashMap::new(),
                 prefer_wired: false,
@@ -1429,6 +1587,9 @@ impl Network {
         }
     }
 }
+
+#[cfg(test)]
+mod backoff_tests;
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,7 @@ use aroma_net::{
 use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 #[derive(Default)]
 struct Recorder {
@@ -218,10 +219,10 @@ fn busy_reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `busy_for` answers exactly what a full scan answers, over random
-    /// transmissions (short and long, on overlapping channels, some
-    /// starting later than the clock), non-decreasing query times and
-    /// interleaved prunes.
+    /// `busy_for` answers exactly what a full scan of every transmission
+    /// ever registered answers, over random transmissions (short and long,
+    /// on overlapping channels, some starting later than the clock),
+    /// non-decreasing query times and interleaved prunes.
     #[test]
     fn busy_for_matches_full_scan(
         ops in prop::collection::vec(
@@ -264,14 +265,92 @@ proptest! {
                     let want = busy_reference(&mirror, &env, src, pos, channel, now);
                     prop_assert_eq!(medium.busy_for(&env, src, pos, channel, now), want);
                 }
-                _ => {
-                    let horizon = SimTime::from_nanos(now.as_nanos().saturating_sub(len));
-                    medium.prune(horizon);
-                    mirror.retain(|t| t.end >= horizon);
-                    prop_assert_eq!(medium.retained(), mirror.len());
-                }
+                _ => medium.prune(now),
             }
         }
+    }
+
+    /// Pruning at every frame end loses nothing a later query needs: at
+    /// each end, in end order as the network handles them (same-instant
+    /// ends included), `sinr_for` and `was_transmitting` answer bit for bit
+    /// what a never-pruned mirror answers, for every listener.
+    #[test]
+    fn sinr_and_half_duplex_match_a_never_pruned_mirror(
+        ops in prop::collection::vec(
+            (any::<bool>(), 0u32..6, 0.0f64..60.0, 1u8..=11, 0u64..400, 1u64..40),
+            1..150,
+        ),
+    ) {
+        let env = RadioEnvironment::default();
+        let (mut medium, mut mirror) = (Medium::new(), Medium::new());
+        let mut ends = BTreeSet::new();
+        let mut now = SimTime::ZERO;
+        let ack = SimDuration::from_micros(300);
+        // End every frame due by `until`, checking each against the mirror
+        // and then pruning as `TxEnd` does.
+        let end_frames = |medium: &mut Medium,
+                          mirror: &Medium,
+                          ends: &mut BTreeSet<(SimTime, TxId)>,
+                          until: SimTime| {
+            while let Some((end, id)) = ends.pop_first() {
+                if end > until {
+                    ends.insert((end, id));
+                    break;
+                }
+                let t = mirror.get(id).unwrap();
+                assert_eq!(medium.get(id).map(|m| m.end), Some(end));
+                for node in 0..6 {
+                    let (rx, pos) = (NodeId(node), Point::new(node as f64 * 7.0, 3.0));
+                    let (got, want) = (
+                        medium.sinr_for(&env, t.id, rx, pos),
+                        mirror.sinr_for(&env, t.id, rx, pos),
+                    );
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                    assert_eq!(
+                        medium.was_transmitting(rx, t.start, t.end),
+                        mirror.was_transmitting(rx, t.start, t.end)
+                    );
+                    assert_eq!(
+                        medium.was_transmitting(rx, end, end + ack),
+                        mirror.was_transmitting(rx, end, end + ack)
+                    );
+                }
+                medium.prune(end);
+            }
+        };
+        for (is_ack, node, x, ch, dt, len) in ops {
+            let target = now + SimDuration::from_micros(dt);
+            end_frames(&mut medium, &mirror, &mut ends, target);
+            now = target;
+            // Data frames start now, ACKs a SIFS later; lengths are whole
+            // 10-µs steps so that ends often coincide.
+            let start = now + SimDuration::from_micros(if is_ack { 10 } else { 0 });
+            let (src, channel) = (NodeId(node), Channel::new(ch));
+            let tx = Transmission {
+                id: TxId(0),
+                src,
+                src_pos: Point::new(x, 0.0),
+                channel,
+                tx_dbm: 15.0,
+                rate: Rate::R2,
+                start,
+                end: start + SimDuration::from_micros(len * 10),
+                frame: Frame {
+                    src,
+                    dst: Address::Broadcast,
+                    kind: FrameKind::Data,
+                    seq: 0,
+                    payload: Bytes::new(),
+                },
+            };
+            let id = medium.begin(tx.clone());
+            prop_assert_eq!(mirror.begin(tx.clone()), id);
+            ends.insert((tx.end, id));
+        }
+        end_frames(&mut medium, &mirror, &mut ends, SimTime::MAX);
+        // Once every frame has ended, the next prune empties the medium.
+        medium.prune(SimTime::MAX);
+        prop_assert_eq!(medium.retained(), 0);
     }
 }
 

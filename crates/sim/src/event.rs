@@ -4,12 +4,16 @@
 //! typed events at future instants and drain them in chronological order.
 //! Two properties matter for reproducibility and are guaranteed here:
 //!
-//! 1. **Stable ordering** — events scheduled for the same instant pop in the
-//!    order they were scheduled (FIFO tie-break by a monotone sequence
-//!    number), so a run never depends on heap internals.
+//! 1. **Stable ordering** — events pop in `(time, key, seq)` order. The
+//!    `key` is the event type's tie key ([`EventQueue::keyed`]), so the
+//!    order of same-instant events is a property of the events, not of when
+//!    each was scheduled; events with equal keys (every event of a queue
+//!    built with [`EventQueue::new`]) pop in the order they were scheduled
+//!    (FIFO by a monotone sequence number). A run never depends on heap
+//!    internals.
 //! 2. **Monotonic time** — popping never moves time backwards; scheduling in
 //!    the past is a programming error and panics in debug builds (clamped to
-//!    `now` in release, with a counter so harnesses can assert on it).
+//!    `now` in release).
 //!
 //! Events cannot be cancelled: a substrate that no longer wants an event
 //! ignores it when it fires (the network tags timers with an epoch for
@@ -22,14 +26,16 @@ use std::collections::BinaryHeap;
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
+    key: u64,
     seq: u64,
     payload: E,
 }
 
-// Order by (time, seq); the heap stores `Reverse` so the earliest pops first.
+// Order by (time, key, seq); the heap stores `Reverse` so the earliest pops
+// first.
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.time == other.time && self.key == other.key && self.seq == other.seq
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -40,7 +46,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        (self.time, self.key, self.seq).cmp(&(other.time, other.key, other.seq))
     }
 }
 
@@ -64,9 +70,7 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     now: SimTime,
     next_seq: u64,
-    late_schedules: u64,
-    scheduled_total: u64,
-    popped_total: u64,
+    key: fn(&E) -> u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -76,15 +80,32 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Empty queue with the clock at `t = 0`.
+    /// Empty queue with the clock at `t = 0`; same-instant events pop in
+    /// the order they were scheduled.
     pub fn new() -> Self {
+        Self::keyed(|_| 0)
+    }
+
+    /// Empty queue whose same-instant events pop in ascending `key` order,
+    /// and in the order they were scheduled among equal keys.
+    ///
+    /// ```
+    /// use aroma_sim::{EventQueue, SimTime};
+    ///
+    /// let mut q: EventQueue<u32> = EventQueue::keyed(|&e| u64::from(e % 10));
+    /// let t = SimTime::from_nanos(5);
+    /// for e in [13, 21, 11, 23] {
+    ///     q.schedule_at(t, e);
+    /// }
+    /// let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+    /// assert_eq!(order, [21, 11, 13, 23]);
+    /// ```
+    pub fn keyed(key: fn(&E) -> u64) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            late_schedules: 0,
-            scheduled_total: 0,
-            popped_total: 0,
+            key,
         }
     }
 
@@ -106,44 +127,22 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total events scheduled over the queue's lifetime.
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Total events delivered by `pop` over the queue's lifetime.
-    #[inline]
-    pub fn popped_total(&self) -> u64 {
-        self.popped_total
-    }
-
-    /// How many schedule requests targeted the past and were clamped to
-    /// `now` (always zero in a correct substrate; asserted by tests).
-    #[inline]
-    pub fn late_schedules(&self) -> u64 {
-        self.late_schedules
-    }
-
     /// Schedule `payload` at absolute time `at`.
     ///
     /// Scheduling in the past is a bug in the caller; debug builds panic,
-    /// release builds clamp to `now` and count it in [`late_schedules`].
-    ///
-    /// [`late_schedules`]: EventQueue::late_schedules
+    /// release builds clamp to `now`.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         let at = if at < self.now {
             debug_assert!(false, "scheduled event in the past: {at} < {}", self.now);
-            self.late_schedules += 1;
             self.now
         } else {
             at
         };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Reverse(Entry {
             time: at,
+            key: (self.key)(&payload),
             seq,
             payload,
         }));
@@ -155,8 +154,9 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, payload)
     }
 
-    /// Schedule `payload` to fire immediately (at the current instant, after
-    /// everything already queued for this instant).
+    /// Schedule `payload` to fire at the current instant: after every event
+    /// already queued for this instant with a smaller or equal key, before
+    /// those with a larger one.
     #[inline]
     pub fn schedule_now(&mut self, payload: E) {
         self.schedule_at(self.now, payload)
@@ -174,21 +174,20 @@ impl<E> EventQueue<E> {
         // `max` keeps the clock monotone even if a release-mode
         // `fast_forward` jumped over a still-pending earlier event.
         self.now = self.now.max(entry.time);
-        self.popped_total += 1;
         Some((entry.time, entry.payload))
     }
 
     /// Advance the clock to `at` without delivering events.
     ///
     /// Events scheduled at *exactly* `at` are not skipped: they stay
-    /// pending and fire (FIFO among themselves) when popped, with the clock
-    /// already at their timestamp — `fast_forward(t)` followed by `pop()`
-    /// of a `t`-event is well-defined and deterministic. Only events
-    /// strictly earlier than `at` count as skipped work: their presence
-    /// panics in debug builds (a substrate must never silently skip
-    /// scheduled work) and is ignored in release builds, where `now` still
-    /// advances and the late events deliver with their original (now past)
-    /// timestamps.
+    /// pending and fire (in tie order among themselves) when popped, with
+    /// the clock already at their timestamp — `fast_forward(t)` followed
+    /// by `pop()` of a `t`-event is well-defined and deterministic. Only
+    /// events strictly earlier than `at` count as skipped work: their
+    /// presence panics in debug builds (a substrate must never silently
+    /// skip scheduled work) and is ignored in release builds, where `now`
+    /// still advances and the late events deliver with their original (now
+    /// past) timestamps.
     pub fn fast_forward(&mut self, at: SimTime) {
         debug_assert!(
             self.peek_time().is_none_or(|t| t >= at),
@@ -301,16 +300,5 @@ mod tests {
         // moving backwards is ignored
         q.fast_forward(SimTime::from_nanos(100));
         assert_eq!(q.now().as_nanos(), 500);
-    }
-
-    #[test]
-    fn lifetime_counters_track_activity() {
-        let mut q = q();
-        q.schedule_in(SimDuration::from_nanos(1), 1);
-        q.schedule_in(SimDuration::from_nanos(2), 2);
-        q.pop();
-        assert_eq!(q.scheduled_total(), 2);
-        assert_eq!(q.popped_total(), 1);
-        assert_eq!(q.late_schedules(), 0);
     }
 }

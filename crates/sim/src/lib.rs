@@ -7,8 +7,9 @@
 //! behavioural user simulator — runs on the primitives defined here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] — a deterministic future-event list with stable FIFO
-//!   ordering for simultaneous events and O(log n) scheduling,
+//! * [`EventQueue`] — a deterministic future-event list with a stable tie
+//!   order for simultaneous events (the event's key, then FIFO) and
+//!   O(log n) scheduling,
 //! * [`SimRng`] — a seedable, forkable random stream (SplitMix64 core) with
 //!   the distributions the substrates need (uniform, normal, exponential,
 //!   log-normal shadowing),

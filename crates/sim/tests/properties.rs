@@ -46,6 +46,33 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
+    /// The tie key only orders ties: whenever no two events share an
+    /// instant, a keyed queue pops exactly what a FIFO queue pops, with
+    /// schedules (some at the current instant) interleaved with pops.
+    #[test]
+    fn keyed_queue_matches_fifo_at_distinct_times(
+        ops in prop::collection::vec((0u64..2_000, any::<u64>(), 0usize..3), 1..200),
+    ) {
+        let mut fifo: EventQueue<(usize, u64)> = EventQueue::new();
+        let mut keyed: EventQueue<(usize, u64)> = EventQueue::keyed(|&(_, key)| key);
+        let mut used = std::collections::BTreeSet::new();
+        for (i, &(delay, key, pops)) in ops.iter().enumerate() {
+            let mut t = fifo.now().as_nanos() + delay;
+            while !used.insert(t) {
+                t += 1;
+            }
+            fifo.schedule_at(SimTime::from_nanos(t), (i, key));
+            keyed.schedule_at(SimTime::from_nanos(t), (i, key));
+            for _ in 0..pops {
+                prop_assert_eq!(fifo.pop(), keyed.pop());
+            }
+        }
+        while let Some(want) = fifo.pop() {
+            prop_assert_eq!(Some(want), keyed.pop());
+        }
+        prop_assert_eq!(keyed.pop(), None);
+    }
+
     /// Summary::merge is equivalent to recording all observations into one
     /// collector, for any split point.
     #[test]

@@ -16,7 +16,10 @@
 # determinism gate: zero unwaived nondet-order or sim-purity findings
 # across the workspace, every waiver carrying a reason (DESIGN.md §14), and
 # the end-to-end benchmark's own tests plus one short traced run of each of
-# its workloads (e2ebench/README.md).
+# its workloads (e2ebench/README.md), and the exactness gate: `repro all`
+# must print the committed repro_full_output.txt byte for byte, so an
+# optimization that claims to leave the simulated output unchanged
+# (DESIGN.md §6) is held to it.
 # Run from the repository root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,6 +66,13 @@ grep -q 'registrar churn: zero stale lookups' <<<"$e9_out"
 e9_out2=$(cargo run --release -p lpc-bench --bin repro -- --experiment e9 --seed 233)
 diff <(printf '%s\n' "$e9_out") <(printf '%s\n' "$e9_out2") \
   || { echo "FAIL: E9 chaos walkthrough is not byte-identical across runs"; exit 1; }
+
+# Exactness gate: every experiment's report is a pure function of the
+# code, and the committed full report is what this code prints. A change
+# that moves a number on purpose regenerates the file (`repro all >
+# repro_full_output.txt`) and says why.
+cargo run --release -p lpc-bench --bin repro -- all | diff - repro_full_output.txt \
+  || { echo "FAIL: repro all diverges from the committed repro_full_output.txt"; exit 1; }
 
 # Broadcast-determinism gate: a fixed-seed multi-viewer fan-out run must
 # be a pure function of its seed — `fanout-smoke` prints the run's
