@@ -9,7 +9,7 @@
 //! repro --trace e2     # as --metrics plus the structured trace ring
 //! repro --experiment e9 --seed 7   # one experiment, with a seed override
 //! repro --list         # list experiment ids and titles
-//! repro bench          # checker thread-scaling sweep -> BENCH_check.json
+//! repro bench          # checker + mcode sweeps, APPENDED to BENCH_check.json / BENCH_mcode.json
 //! repro bench --scaling  # scaling-only sweep, APPENDED to BENCH_check.json
 //! repro bench --discovery  # lease-table scaling sweep, APPENDED to BENCH_disc.json
 //! repro bench --fanout  # broadcast fan-out sweep, APPENDED to BENCH_fanout.json
@@ -17,32 +17,17 @@
 //! ```
 
 use lpc_bench::experiments::{self, RunOpts, ALL_IDS};
+use std::path::Path;
 
 const USAGE: &str = "usage: repro [--quick] [--json] [--metrics] [--trace] [--seed N] [--list] \
                      [--scaling] [--discovery] [--fanout] [--experiment <id>] \
                      <all|bench|fanout-smoke|f1..f5|e1..e11>...";
 
-/// Append one rendered JSON document to a `BENCH_*.json` file, keeping
-/// the file a JSON array of bench entries: a missing file starts a fresh
-/// array, a legacy single-object file is wrapped into `[old, new]`, and
-/// an existing array gains the entry before its final `]`.
+/// Append one entry to a `BENCH_*.json` ledger (see
+/// [`lpc_bench::append_bench_entry`]); a failed read or write ends the run.
 fn append_bench_entry(path: &str, entry: &str) {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let trimmed = existing.trim_end();
-    let out = if let Some(head) = trimmed.strip_suffix(']') {
-        let head = head.trim_end();
-        if head.ends_with('[') {
-            format!("{head}\n{entry}\n]")
-        } else {
-            format!("{},\n{}\n]", head.trim_end_matches(','), entry)
-        }
-    } else if trimmed.is_empty() {
-        format!("[\n{entry}\n]")
-    } else {
-        format!("[\n{trimmed},\n{entry}\n]")
-    };
-    if let Err(e) = std::fs::write(path, out) {
-        panic!("write {path}: {e}");
+    if let Err(e) = lpc_bench::append_bench_entry(Path::new(path), entry) {
+        panic!("append to {path}: {e}");
     }
 }
 
@@ -115,8 +100,8 @@ fn main() {
     }
     // `bench` is not an experiment: it measures the model checker's
     // thread scaling (plus the E9 recovery times) and the mobile-code
-    // execution tiers, writing BENCH_check.json and BENCH_mcode.json in
-    // the current directory.
+    // execution tiers, appending to BENCH_check.json and BENCH_mcode.json
+    // in the current directory.
     if ids.iter().any(|id| id == "bench") {
         if ids.len() > 1 {
             eprintln!("`bench` runs alone (it owns the whole machine while timing)");
@@ -157,14 +142,14 @@ fn main() {
         }
         let doc = lpc_bench::checkbench::run(opts.quick);
         let text = doc.render();
-        std::fs::write("BENCH_check.json", &text).expect("write BENCH_check.json");
+        append_bench_entry("BENCH_check.json", &text);
         println!("{text}");
-        eprintln!("wrote BENCH_check.json");
+        eprintln!("appended entry to BENCH_check.json");
         let doc = lpc_bench::mcodebench::run(opts.quick);
         let text = doc.render();
-        std::fs::write("BENCH_mcode.json", &text).expect("write BENCH_mcode.json");
+        append_bench_entry("BENCH_mcode.json", &text);
         println!("{text}");
-        eprintln!("wrote BENCH_mcode.json");
+        eprintln!("appended entry to BENCH_mcode.json");
         return;
     }
     for id in &ids {

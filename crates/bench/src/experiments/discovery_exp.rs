@@ -128,10 +128,8 @@ fn lease_churn(lease_ms: u64, seed: u64) -> f64 {
 pub fn e3(quick: bool) -> ExperimentOutput {
     let backgrounds: &[usize] = if quick { &[0, 10] } else { &[0, 5, 10, 20, 40] };
     let seeds_per_point: u64 = if quick { 2 } else { 10 };
-    let grid: Vec<(usize, u64)> = backgrounds
-        .iter()
-        .flat_map(|&b| (0..seeds_per_point).map(move |s| (b, s)))
-        .collect();
+    let seeds: Vec<u64> = (0..seeds_per_point).collect();
+    let grid = aroma_sim::sweep::grid(backgrounds, &seeds);
     let tts = aroma_sim::sweep::run(&grid, |i, &(b, s)| {
         time_to_service_ms(b, 0xE3 + s * 1000 + i as u64)
     });

@@ -21,10 +21,7 @@ pub fn e1(quick: bool) -> ExperimentOutput {
         ("11 Mbps", fixed(Rate::R11)),
         ("adaptive", RateAdaptation::SnrBased),
     ];
-    let grid: Vec<(Workload, (&str, RateAdaptation))> = Workload::ALL
-        .iter()
-        .flat_map(|&wl| arms.iter().map(move |&arm| (wl, arm)))
-        .collect();
+    let grid = aroma_sim::sweep::grid(&Workload::ALL, &arms);
     let results = aroma_sim::sweep::run(&grid, |i, &(wl, (_, adapt))| {
         run_vnc(wl, adapt, w, h, horizon, 0xE1 + i as u64)
     });

@@ -117,10 +117,7 @@ pub fn e4(quick: bool) -> ExperimentOutput {
             },
         ),
     ];
-    let grid: Vec<(usize, (&str, SessionPolicy))> = presenter_counts
-        .iter()
-        .flat_map(|&n| policies.iter().map(move |&p| (n, p)))
-        .collect();
+    let grid = aroma_sim::sweep::grid(presenter_counts, &policies);
     let results = aroma_sim::sweep::run(&grid, |i, &(n, (_, policy))| {
         run_contention(n, policy, horizon, 0xE4 + i as u64)
     });

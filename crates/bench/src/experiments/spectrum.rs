@@ -35,10 +35,7 @@ pub fn e2_with(opts: RunOpts) -> ExperimentOutput {
         ("co-channel", ChannelPlan::AllCochannel),
         ("1/6/11 spread", ChannelPlan::OrthogonalSpread),
     ];
-    let grid: Vec<(usize, (&str, ChannelPlan))> = densities
-        .iter()
-        .flat_map(|&d| plans.iter().map(move |&p| (d, p)))
-        .collect();
+    let grid = aroma_sim::sweep::grid(densities, &plans);
     let results = aroma_sim::sweep::run(&grid, |i, &(pairs, (_, plan))| {
         run_density(
             pairs,

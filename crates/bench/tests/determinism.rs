@@ -3,7 +3,7 @@
 //!
 //! A fixed-seed experiment run twice in the same process must produce
 //! **byte-identical** output — tables, notes, trace events, counters,
-//! histograms — with exactly one sanctioned exception: the wall-clock
+//! summaries — with exactly one sanctioned exception: the wall-clock
 //! handler profile, whose nanos come from the `lint:allow(sim-wall-clock)`
 //! sites and which `Snapshot::deterministic_eq` excludes by design. The
 //! comparison here mirrors that boundary precisely: everything is

@@ -58,7 +58,7 @@ pub struct ReplConfig {
     /// Process crashes in a run (restarts are free: a down node may always
     /// come back from its durable blob).
     pub crashes: u32,
-    /// Time-advance steps (each moves `now` one [`QUANTUM`]).
+    /// Time-advance steps (each moves `now` one `QUANTUM`, 1 s).
     pub ticks: u32,
     /// Highest epoch a node may campaign for.
     pub epoch_cap: u64,
@@ -173,7 +173,7 @@ pub enum ReplAction {
         /// Node index.
         node: usize,
     },
-    /// Advance time by one [`QUANTUM`].
+    /// Advance time by one `QUANTUM` (1 s).
     Tick,
 }
 

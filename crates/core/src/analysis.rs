@@ -622,7 +622,7 @@ mod tests {
 
     #[test]
     fn measured_drops_surface_as_resource_issues() {
-        use aroma_sim::telemetry::{Recorder, Telemetry, TelemetryConfig};
+        use aroma_sim::telemetry::{Telemetry, TelemetryConfig};
         let app = simple_app(false);
         let belief = app.machine.clone();
         let sys = system(

@@ -14,7 +14,7 @@
 use crate::codec::{pack_lookup_reply, EventKind, Msg, ServiceId, ServiceItem, Template};
 use crate::registry::{RegistryEvent, ServiceRegistry};
 use aroma_net::{Address, NetApp, NetCtx, NodeId};
-use aroma_sim::telemetry::{Layer, Recorder};
+use aroma_sim::telemetry::Layer;
 use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
 
@@ -283,7 +283,7 @@ impl NetApp for RegistrarApp {
                 // invariant `aroma-check` proves).
                 let matches = self.registry.lookup_live(now, &template);
                 let (reply, _) = pack_lookup_reply(req, &matches);
-                if ctx.telemetry().enabled() {
+                if ctx.telemetry().is_on() {
                     // Stale window: registrations whose lease expired but
                     // whose expiry sweep has not yet run. `lookup_live`
                     // filters them out of the reply; count how many the

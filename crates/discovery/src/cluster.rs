@@ -27,7 +27,7 @@ use crate::replication::{
     PROTO_REPLICATION,
 };
 use aroma_net::{Address, NetApp, NetCtx, NodeId};
-use aroma_sim::telemetry::{Layer, Recorder};
+use aroma_sim::telemetry::Layer;
 use aroma_sim::SimDuration;
 use bytes::Bytes;
 
@@ -161,7 +161,7 @@ impl ReplicatedRegistrarApp {
         let Some(n) = &self.node else { return };
         let s = n.stats;
         let rec = ctx.telemetry();
-        if !rec.enabled() {
+        if !rec.is_on() {
             self.flushed = s;
             return;
         }
@@ -212,7 +212,7 @@ impl ReplicatedRegistrarApp {
         let matches = node.lookup_live(now, &template);
         let total = matches.len();
         let (reply, live) = pack_lookup_reply(req, &matches);
-        if ctx.telemetry().enabled() {
+        if ctx.telemetry().is_on() {
             let all = node.table().lookup(&template).len();
             let stale = (all - total) as i64;
             let rec = ctx.telemetry();

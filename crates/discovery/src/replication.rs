@@ -29,7 +29,7 @@
 //!   with it, so the lease table is a pure function of the log prefix and
 //!   every replica's table is byte-identical at equal applied indices;
 //! * applied prefixes are periodically folded into a
-//!   [`LeaseSnapshot`](crate::snapshot::LeaseSnapshot) and the log
+//!   [`LeaseSnapshot`] and the log
 //!   truncated; a replica that nacks below the primary's retained log gets
 //!   a [`RepMsg::SnapshotInstall`] and then catches up from the suffix.
 //!

@@ -25,7 +25,9 @@
 //! * `TxEnd` — a transmission leaves the air; receivers evaluate SINR and
 //!   the frame either dies or is delivered/acknowledged.
 //! * `AckTimeout` — a unicast sender gave up waiting; binary-exponential
-//!   backoff and retry, or drop at the retry limit.
+//!   backoff and retry, or drop at the retry limit. It is armed only when
+//!   no ACK is coming (at the data frame's end) or the ACK was lost (at
+//!   the ACK's end), so it never fires as a no-op in a fault-free run.
 //! * `AppTimer` — an application timer armed through [`NetCtx::set_timer`].
 //!
 //! A fifth kind, `Fault`, exists only when a [`FaultSchedule`] was attached
@@ -49,7 +51,7 @@ use aroma_env::radio::{Channel, RadioEnvironment};
 use aroma_env::space::Point;
 use aroma_sim::faults::{FaultOp, FaultSchedule};
 use aroma_sim::stats::Summary;
-use aroma_sim::telemetry::{Layer, Recorder, Snapshot, Telemetry, TelemetryConfig};
+use aroma_sim::telemetry::{Layer, Snapshot, Telemetry, TelemetryConfig};
 use aroma_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use bytes::Bytes;
 use std::any::Any;
@@ -838,13 +840,15 @@ impl Core {
         self.queue.schedule_at(now + air, Event::TxEnd { tx });
     }
 
-    fn send_ack(&mut self, from: NodeId, to: NodeId, seq: u16) {
+    /// Put an ACK on the air a SIFS from now; false when `from` cannot
+    /// send one.
+    fn send_ack(&mut self, from: NodeId, to: NodeId, seq: u16) -> bool {
         let now = self.queue.now();
         // A half-duplex radio that is (or will be) transmitting cannot ACK.
         let start = now + self.cfg.sifs;
         let air = airtime(ACK_BYTES as u64 * 8, Rate::R2);
         if self.medium.was_transmitting(from, now, start + air) {
-            return;
+            return false;
         }
         let n = &self.nodes[from.0 as usize];
         let tx = self.begin(Transmission {
@@ -866,12 +870,16 @@ impl Core {
         });
         self.stats.node[from.0 as usize].tx_acks += 1;
         self.queue.schedule_at(start + air, Event::TxEnd { tx });
+        true
     }
 
     fn on_tx_end(&mut self, tx_id: TxId) {
-        let Some(t) = self.medium.get(tx_id).cloned() else {
-            return; // pruned (cannot happen before its TxEnd, but be safe)
-        };
+        // The prune keeps everything with `end >= now`, so a transmission
+        // is still registered at its own TxEnd. A lost ACK relies on this:
+        // its TxEnd is what arms the sender's timeout.
+        let t = self.medium.get(tx_id).cloned();
+        debug_assert!(t.is_some(), "{tx_id:?} pruned before its TxEnd");
+        let Some(t) = t else { return };
         match t.frame.kind {
             FrameKind::Data => self.finish_data(&t),
             FrameKind::Ack => self.finish_ack(&t),
@@ -938,15 +946,16 @@ impl Core {
         match t.frame.dst {
             Address::Node(dst) => {
                 let ok = self.receive_ok(t, dst);
+                let acking = ok && self.send_ack(dst, src, t.frame.seq);
                 if ok {
-                    self.send_ack(dst, src, t.frame.seq);
                     self.deliver(t, dst);
                 }
                 if !self.sender_active(src, t.frame.seq) {
                     return; // sender crashed mid-air; nothing awaits the ACK
                 }
-                // Sender now waits for the ACK (or times out). Even when
-                // reception failed we must arm the timeout.
+                // Sender now waits for the ACK. When none is coming, arm
+                // the timeout here; an ACK on the air arms it itself if it
+                // is lost (`finish_ack`), so no timeout fires as a no-op.
                 let gen = {
                     let node = self.node(src);
                     node.mac.state = MacState::WaitAck { seq: t.frame.seq };
@@ -960,9 +969,11 @@ impl Core {
                     t.frame.seq as i64,
                     ok as i64,
                 );
-                let timeout = ack_timeout(&self.cfg);
-                self.queue
-                    .schedule_in(timeout, Event::AckTimeout { node: src, gen });
+                if !acking {
+                    let timeout = ack_timeout(&self.cfg);
+                    self.queue
+                        .schedule_in(timeout, Event::AckTimeout { node: src, gen });
+                }
             }
             Address::Broadcast => {
                 let receivers: Vec<NodeId> = (0..self.nodes.len() as u32)
@@ -987,15 +998,26 @@ impl Core {
         let Address::Node(data_sender) = t.frame.dst else {
             return;
         };
-        if !self.receive_ok(t, data_sender) {
-            return; // lost ACK: the sender's timeout will fire
-        }
-        let matches = {
-            let node = &self.nodes[data_sender.0 as usize];
-            node.mac.state == MacState::WaitAck { seq: t.frame.seq }
-        };
-        if !matches {
+        // Reception is decided even when nobody waits: it draws from the
+        // PHY and fault-plane streams.
+        let ok = self.receive_ok(t, data_sender);
+        let node = &self.nodes[data_sender.0 as usize];
+        if node.mac.state != (MacState::WaitAck { seq: t.frame.seq }) {
             return; // late or duplicate ACK
+        }
+        if !ok {
+            // Lost ACK: time out two slots after its end, which is
+            // `ack_timeout` (SIFS + ACK airtime + two slots) after the
+            // data frame's end.
+            let gen = node.mac.gen;
+            self.queue.schedule_in(
+                self.cfg.slot * 2,
+                Event::AckTimeout {
+                    node: data_sender,
+                    gen,
+                },
+            );
+            return;
         }
         let now = self.queue.now();
         let service = {
@@ -1406,7 +1428,7 @@ impl Network {
         self.core.rec = Telemetry::enabled(cfg);
     }
 
-    /// The recorder (for direct recording or handle registration).
+    /// The recorder (for direct recording).
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
         &mut self.core.rec
     }
@@ -1554,7 +1576,7 @@ impl Network {
     /// profile-only and never feeds back into the simulation, so traced runs
     /// stay deterministic.
     fn dispatch(&mut self, ev: Event) {
-        if self.core.rec.enabled() {
+        if self.core.rec.is_on() {
             let kind = ev.kind_name();
             // lint:allow(sim-wall-clock): self-profiling only — the nanos feed Snapshot's profile section, which deterministic_eq excludes (pinned by traced_profile_never_reaches_deterministic_sections)
             let t0 = Instant::now();

@@ -8,13 +8,13 @@
 use aroma_env::radio::{Channel, RadioEnvironment};
 use aroma_env::space::Point;
 use aroma_net::traffic::{CountingSink, SaturatedSource};
-use aroma_net::{Address, MacConfig, Network, NodeConfig};
+use aroma_net::{Address, MacConfig, Network, NodeConfig, NodeId};
+use aroma_sim::telemetry::TelemetryConfig;
 use aroma_sim::SimDuration;
 
-/// Build `pairs` saturated sender→receiver pairs around a circle, all
-/// co-channel, run 1 s, return (aggregate goodput bps, per-pair goodput bps,
-/// ack timeouts).
-fn run_density(pairs: usize, seed: u64) -> (f64, f64, u64) {
+/// `pairs` saturated sender→receiver pairs around a circle, all
+/// co-channel; returns the network and the receivers.
+fn density_net(pairs: usize, seed: u64) -> (Network, Vec<NodeId>) {
     let env = RadioEnvironment {
         shadowing_sigma_db: 0.0,
         ..Default::default()
@@ -37,8 +37,14 @@ fn run_density(pairs: usize, seed: u64) -> (f64, f64, u64) {
             Box::new(SaturatedSource::new(Address::Node(rx), 1000)),
         );
     }
-    let horizon = SimDuration::from_secs(1);
-    net.run_for(horizon);
+    (net, sinks)
+}
+
+/// Run [`density_net`] for 1 s, return (aggregate goodput bps, per-pair
+/// goodput bps, ack timeouts).
+fn run_density(pairs: usize, seed: u64) -> (f64, f64, u64) {
+    let (mut net, sinks) = density_net(pairs, seed);
+    net.run_for(SimDuration::from_secs(1));
     let total: u64 = sinks
         .iter()
         .map(|&rx| net.app_as::<CountingSink>(rx).unwrap().bytes)
@@ -63,6 +69,27 @@ fn per_pair_goodput_collapses_with_density() {
         timeouts_8 > timeouts_1,
         "contention must produce more ACK timeouts ({timeouts_1} -> {timeouts_8})"
     );
+}
+
+/// A sender's `AckTimeout` is armed only when no ACK is coming (the data
+/// frame was lost, the receiver could not answer, or the ACK itself was
+/// lost), so in a fault-free run every one that fires is a real timeout:
+/// the handler's call count equals the timeout counter.
+#[test]
+fn every_ack_timeout_event_is_a_real_timeout() {
+    let (mut net, _) = density_net(8, 42);
+    net.attach_telemetry(TelemetryConfig::metrics_only());
+    net.run_for(SimDuration::from_secs(1));
+    let snap = net.telemetry_snapshot().expect("telemetry attached");
+    let timeouts = snap.counter("net.mac.ack_timeouts");
+    assert!(timeouts > 0, "8 co-channel pairs must collide");
+    assert!(snap.counter("net.mac.tx_completed") > 0);
+    let events = snap
+        .profile
+        .iter()
+        .find(|h| h.name == "AckTimeout")
+        .map_or(0, |h| h.calls);
+    assert_eq!(events, timeouts, "AckTimeout events that were no-ops");
 }
 
 #[test]

@@ -140,6 +140,43 @@ proptest! {
         prop_assert_eq!(s1.counter("net.rx.delivered"), d1 as u64);
     }
 
+    /// In fault-free worlds of several senders contending for one receiver,
+    /// every `AckTimeout` event that fires is a real timeout: one is armed
+    /// only when no ACK is coming or the ACK was lost.
+    #[test]
+    fn every_ack_timeout_event_is_a_real_timeout(
+        senders in prop::collection::vec((0.0f64..30.0, 0.0f64..30.0, 1usize..8), 1..5),
+        seed in any::<u64>(),
+    ) {
+        use aroma_sim::telemetry::TelemetryConfig;
+        let mut net = Network::new(quiet(), MacConfig::default(), seed);
+        net.attach_telemetry(TelemetryConfig::metrics_only());
+        let rx = net.add_node(
+            NodeConfig::at(Point::new(0.0, 0.0)),
+            Box::new(Recorder::default()),
+        );
+        for &(x, y, n) in &senders {
+            net.add_node(
+                NodeConfig::at(Point::new(x, y)),
+                Box::new(ScriptedSender {
+                    dst: rx,
+                    payloads: vec![vec![0x3Cu8; 200]; n],
+                    accepted: 0,
+                    completed: 0,
+                    failed: 0,
+                }),
+            );
+        }
+        net.run_for(SimDuration::from_secs(3));
+        let snap = net.telemetry_snapshot().unwrap();
+        let events = snap
+            .profile
+            .iter()
+            .find(|h| h.name == "AckTimeout")
+            .map_or(0, |h| h.calls);
+        prop_assert_eq!(events, snap.counter("net.mac.ack_timeouts"));
+    }
+
     /// Broadcast reaches every in-range node exactly once; no duplicates
     /// are ever delivered.
     #[test]

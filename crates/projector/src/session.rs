@@ -14,7 +14,7 @@
 //! * [`SessionPolicy::AutoExpire`] — sessions with an idle-expiry horizon:
 //!   the paper's asked-for mechanism.
 
-use aroma_sim::telemetry::{Layer, Recorder, Snapshot, Telemetry, TelemetryConfig};
+use aroma_sim::telemetry::{Layer, Snapshot, Telemetry, TelemetryConfig};
 use aroma_sim::{SimDuration, SimRng, SimTime};
 
 /// Opaque proof of session ownership.

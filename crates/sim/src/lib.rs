@@ -13,8 +13,8 @@
 //! * [`SimRng`] — a seedable, forkable random stream (SplitMix64 core) with
 //!   the distributions the substrates need (uniform, normal, exponential,
 //!   log-normal shadowing),
-//! * [`stats`] — Welford summaries, fixed-bin histograms and rate meters used
-//!   by every experiment harness,
+//! * [`stats`] — Welford summaries and rate meters used by every experiment
+//!   harness,
 //! * [`report`] — aligned ASCII tables plus a minimal JSON emitter so
 //!   experiment output can be archived without extra dependencies,
 //! * [`telemetry`] — the `aroma-telemetry` recorder (structured trace ring,

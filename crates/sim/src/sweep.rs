@@ -420,13 +420,6 @@ pub fn grid<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
     out
 }
 
-/// `n` evenly spaced points from `lo` to `hi` inclusive (`n ≥ 2`).
-pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2, "linspace needs at least two points");
-    let step = (hi - lo) / (n - 1) as f64;
-    (0..n).map(|i| lo + step * i as f64).collect()
-}
-
 fn available_workers(items: usize) -> usize {
     // lint:allow(sim-os-env): host parallelism only sizes the worker pool; run_with_threads output is worker-count-independent by construction
     std::thread::available_parallelism()
@@ -655,12 +648,6 @@ mod tests {
         assert_eq!(g[0], (1, "a"));
         assert_eq!(g[2], (1, "c"));
         assert_eq!(g[3], (2, "a"));
-    }
-
-    #[test]
-    fn linspace_endpoints_and_spacing() {
-        let xs = linspace(0.0, 10.0, 5);
-        assert_eq!(xs, vec![0.0, 2.5, 5.0, 7.5, 10.0]);
     }
 
     #[test]

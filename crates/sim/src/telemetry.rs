@@ -3,7 +3,7 @@
 //! `aroma-telemetry` is a dependency leaf (it cannot see [`crate::report`]),
 //! so the substrate crates reach it through this module and the JSON glue
 //! lives here: [`snapshot_json`] turns a [`Snapshot`] into the same
-//! [`Json`](crate::report::Json) tree the experiment harnesses already emit.
+//! [`Json`] tree the experiment harnesses already emit.
 
 pub use aroma_telemetry::*;
 
@@ -42,30 +42,6 @@ pub fn snapshot_json(snap: &Snapshot, include_trace: bool) -> Json {
             })
             .collect(),
     );
-    let histograms = Json::Obj(
-        snap.histograms
-            .iter()
-            .map(|h| {
-                (
-                    h.name.to_string(),
-                    Json::obj(vec![
-                        ("lo", Json::from(h.lo)),
-                        ("hi", Json::from(h.hi)),
-                        (
-                            "bins",
-                            Json::Arr(h.bins.iter().map(|&b| Json::from(b)).collect()),
-                        ),
-                        ("underflow", Json::from(h.underflow)),
-                        ("overflow", Json::from(h.overflow)),
-                        ("nan", Json::from(h.nan)),
-                        ("count", Json::from(h.count)),
-                        ("p50", opt_num(h.p50)),
-                        ("p99", opt_num(h.p99)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
     let profile = Json::Arr(
         snap.profile
             .iter()
@@ -83,7 +59,6 @@ pub fn snapshot_json(snap: &Snapshot, include_trace: bool) -> Json {
         ("counters", counters),
         ("gauges", gauges),
         ("summaries", summaries),
-        ("histograms", histograms),
         ("profile", profile),
         ("trace_dropped", Json::from(snap.trace_dropped)),
     ];

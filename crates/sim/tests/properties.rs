@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation core.
 
 use aroma_sim::report::Json;
-use aroma_sim::stats::{Histogram, Summary};
+use aroma_sim::stats::Summary;
 use aroma_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -73,59 +73,25 @@ proptest! {
         prop_assert_eq!(keyed.pop(), None);
     }
 
-    /// Summary::merge is equivalent to recording all observations into one
-    /// collector, for any split point.
+    /// The streaming summary agrees with a two-pass computation over the
+    /// same observations: exact count and extrema, mean and sample
+    /// standard deviation to rounding.
     #[test]
-    fn summary_merge_associative(xs in prop::collection::vec(-1e6f64..1e6, 2..200), split_frac in 0.0f64..1.0) {
-        let split = ((xs.len() as f64 * split_frac) as usize).min(xs.len());
-        let mut whole = Summary::new();
-        for &x in &xs { whole.record(x); }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &xs[..split] { a.record(x); }
-        for &x in &xs[split..] { b.record(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() <= 1e-5 * (1.0 + whole.variance().abs()));
-    }
-
-    /// Merging *default*-constructed summaries matches sequential recording
-    /// on every statistic including the extrema — either side may be empty
-    /// (split 0 or len). Guards the manual `Default` impl: a derived one
-    /// zeroed `min`/`max` and the merged extrema came out 0.0.
-    #[test]
-    fn summary_merge_from_defaults_matches_sequential(
-        xs in prop::collection::vec(-1e6f64..1e6, 0..200),
-        split_frac in 0.0f64..=1.0,
-    ) {
-        let split = ((xs.len() as f64 * split_frac) as usize).min(xs.len());
-        let mut whole = Summary::default();
-        for &x in &xs { whole.record(x); }
-        let mut a = Summary::default();
-        let mut b = Summary::default();
-        for &x in &xs[..split] { a.record(x); }
-        for &x in &xs[split..] { b.record(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert_eq!(a.min(), whole.min());
-        prop_assert_eq!(a.max(), whole.max());
-        prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() <= 1e-5 * (1.0 + whole.variance().abs()));
-    }
-
-    /// Histogram quantiles are monotone in q and bounded by the range.
-    #[test]
-    fn histogram_quantiles_monotone(xs in prop::collection::vec(-10.0f64..110.0, 1..300)) {
-        let mut h = Histogram::new(0.0, 100.0, 20);
-        for &x in &xs { h.record(x); }
-        let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
-        let vals: Vec<f64> = qs.iter().map(|&q| h.quantile(q).unwrap()).collect();
-        for w in vals.windows(2) {
-            prop_assert!(w[0] <= w[1] + 1e-9, "quantiles not monotone: {vals:?}");
-        }
-        prop_assert!(vals[0] >= 0.0 - 1e-9);
-        prop_assert!(*vals.last().unwrap() <= 100.0 + 1e-9);
+    fn summary_matches_two_pass_statistics(xs in prop::collection::vec(-1e6f64..1e6, 0..200)) {
+        let mut s = Summary::default();
+        for &x in &xs { s.record(x); }
+        prop_assert_eq!(s.count(), xs.len() as u64);
+        prop_assert_eq!(s.min(), xs.iter().copied().reduce(f64::min));
+        prop_assert_eq!(s.max(), xs.iter().copied().reduce(f64::max));
+        let n = xs.len() as f64;
+        let mean = if xs.is_empty() { 0.0 } else { xs.iter().sum::<f64>() / n };
+        let sd = if xs.len() < 2 {
+            0.0
+        } else {
+            (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt()
+        };
+        prop_assert!((s.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
+        prop_assert!((s.std_dev() - sd).abs() <= 1e-6 * (1.0 + sd));
     }
 
     /// The JSON emitter always produces syntactically balanced output with

@@ -7,15 +7,17 @@
 //! * a bounded **ring-buffer trace sink** — fixed capacity allocated up
 //!   front, no allocation on the hot path, drop-oldest overwrite with a
 //!   dropped-events counter ([`Snapshot::trace_dropped`]),
-//! * a **metrics registry** — named counters, gauges and streaming
-//!   summary / fixed-bin histogram instruments, addressable either by name
-//!   or through pre-registered typed handles ([`CounterId`] & friends),
+//! * a **metrics registry** — counters, gauges and streaming [`Summary`]
+//!   instruments, each addressed by a static name and registered on first
+//!   touch,
 //! * **event-loop self-profiling** — wall-time per handler type, so perf
 //!   work has a baseline ([`Snapshot::profile`], sorted hottest-first).
 //!
 //! Disabled mode is the [`Telemetry::Off`] enum variant: every recording
 //! method is `#[inline]` and hits a no-op match arm, so an uninstrumented
 //! run pays nothing (verified by `lpc-bench`'s `telemetry` Criterion bench).
+//! The substrates call [`Telemetry`]'s methods directly; there is no
+//! recorder trait to implement.
 //!
 //! **Determinism contract:** trace events and metrics carry *simulated* time
 //! only (`t_nanos`), so for a fixed seed the trace and metric sections of a
@@ -25,7 +27,8 @@
 //!
 //! This crate is a dependency leaf (std only): `aroma-sim` re-exports it as
 //! `aroma_sim::telemetry` and adds JSON rendering there, so every substrate
-//! crate reaches it through the path it already has.
+//! crate reaches it through the path it already has. [`Summary`] lives here
+//! for the same reason and is re-exported as `aroma_sim::stats::Summary`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -124,11 +127,13 @@ impl Ring {
     }
 }
 
-/// Streaming mean/variance/min/max (Welford). A deliberately minimal twin of
-/// `aroma_sim::stats::Summary` — this crate sits below `aroma-sim` in the
-/// dependency graph, so it cannot borrow that type.
-#[derive(Clone, Copy, Debug)]
-struct Welford {
+/// Streaming summary statistics: count, mean, sample standard deviation,
+/// min and max in O(1) memory (Welford's algorithm, numerically stable).
+///
+/// The summary instrument records into one of these, and substrates keep
+/// them directly in their stats structs (`aroma_sim::stats` re-exports it).
+#[derive(Clone, Debug)]
+pub struct Summary {
     count: u64,
     mean: f64,
     m2: f64,
@@ -136,9 +141,19 @@ struct Welford {
     max: f64,
 }
 
-impl Welford {
-    fn new() -> Self {
-        Welford {
+// A derived `Default` would zero `min`/`max`, whereas the sentinels must be
+// ±INFINITY for `record` to work; structs that `#[derive(Default)]` around a
+// `Summary` (NetStats, ExecReport) depend on this delegating to `new()`.
+impl Default for Summary {
+    fn default() -> Self {
+        Summary::new()
+    }
+}
+
+impl Summary {
+    /// Empty summary.
+    pub fn new() -> Self {
+        Summary {
             count: 0,
             mean: 0.0,
             m2: 0.0,
@@ -147,8 +162,9 @@ impl Welford {
         }
     }
 
+    /// Record one observation.
     #[inline]
-    fn record(&mut self, x: f64) {
+    pub fn record(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
@@ -156,89 +172,40 @@ impl Welford {
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
-}
 
-/// Fixed-width-bin histogram over `[lo, hi)` with under/overflow bins and
-/// an explicit NaN counter.
-#[derive(Clone, Debug)]
-struct BinHist {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    nan: u64,
-    count: u64,
-}
-
-impl BinHist {
-    fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(nbins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        BinHist {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-            nan: 0,
-            count: 0,
-        }
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
     }
 
-    #[inline]
-    fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x.is_nan() {
-            // NaN fails both range tests and `as usize` saturates it to 0,
-            // so it used to be silently counted in bin 0; surface it.
-            self.nan += 1;
-        } else if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
+    /// Arithmetic mean (0 for an empty summary).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
         } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.bins.len() as f64) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
+            self.mean
         }
     }
 
-    fn quantile(&self, q: f64) -> Option<f64> {
-        let numeric = self.count - self.nan;
-        if numeric == 0 {
-            return None;
+    /// Sample standard deviation (n−1 denominator; 0 below two samples).
+    pub fn std_dev(&self) -> f64 {
+        if self.count < 2 {
+            0.0
+        } else {
+            (self.m2 / (self.count - 1) as f64).sqrt()
         }
-        let target = q.clamp(0.0, 1.0) * numeric as f64;
-        let mut cum = self.underflow as f64;
-        if target <= cum {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &b) in self.bins.iter().enumerate() {
-            let next = cum + b as f64;
-            if target <= next && b > 0 {
-                let within = (target - cum) / b as f64;
-                return Some(self.lo + width * (i as f64 + within));
-            }
-            cum = next;
-        }
-        Some(self.hi)
+    }
+
+    /// Smallest observation (`None` when empty).
+    pub fn min(&self) -> Option<f64> {
+        (self.count > 0).then_some(self.min)
+    }
+
+    /// Largest observation (`None` when empty).
+    pub fn max(&self) -> Option<f64> {
+        (self.count > 0).then_some(self.max)
     }
 }
-
-/// Handle to a registered counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterId(usize);
-/// Handle to a registered gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(usize);
-/// Handle to a registered summary instrument.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SummaryId(usize);
-/// Handle to a registered histogram instrument.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistId(usize);
 
 /// Name → slot registry for one instrument kind. Registration order is
 /// first-touch order, which is deterministic for a deterministic run and is
@@ -259,15 +226,25 @@ impl<T> Slots<T> {
         }
     }
 
-    fn get_or_insert_with(&mut self, name: &'static str, init: impl FnOnce() -> T) -> usize {
-        if let Some(&i) = self.index.get(name) {
-            return i;
-        }
-        let i = self.values.len();
-        self.names.push(name);
-        self.values.push(init());
-        self.index.insert(name, i);
-        i
+    /// The slot for `name`, registered with `init` on first touch.
+    #[inline]
+    fn slot(&mut self, name: &'static str, init: impl FnOnce() -> T) -> &mut T {
+        let i = match self.index.get(name) {
+            Some(&i) => i,
+            None => {
+                let i = self.values.len();
+                self.names.push(name);
+                self.values.push(init());
+                self.index.insert(name, i);
+                i
+            }
+        };
+        &mut self.values[i]
+    }
+
+    /// `(name, value)` pairs in registration order.
+    fn iter(&self) -> impl Iterator<Item = (&'static str, &T)> {
+        self.names.iter().copied().zip(&self.values)
     }
 }
 
@@ -278,8 +255,7 @@ pub struct Active {
     ring: Ring,
     counters: Slots<u64>,
     gauges: Slots<f64>,
-    summaries: Slots<Welford>,
-    hists: Slots<BinHist>,
+    summaries: Slots<Summary>,
     profile: Slots<(u64, u64)>, // (calls, total wall nanos)
 }
 
@@ -290,54 +266,8 @@ impl Active {
             counters: Slots::new(),
             gauges: Slots::new(),
             summaries: Slots::new(),
-            hists: Slots::new(),
             profile: Slots::new(),
         }
-    }
-
-    /// Register (or look up) a counter and return its handle.
-    pub fn register_counter(&mut self, name: &'static str) -> CounterId {
-        CounterId(self.counters.get_or_insert_with(name, || 0))
-    }
-
-    /// Register (or look up) a gauge and return its handle.
-    pub fn register_gauge(&mut self, name: &'static str) -> GaugeId {
-        GaugeId(self.gauges.get_or_insert_with(name, || 0.0))
-    }
-
-    /// Register (or look up) a summary instrument and return its handle.
-    pub fn register_summary(&mut self, name: &'static str) -> SummaryId {
-        SummaryId(self.summaries.get_or_insert_with(name, Welford::new))
-    }
-
-    /// Register (or look up) a histogram over `[lo, hi)` with `nbins` bins.
-    /// The geometry is fixed by whoever registers first.
-    pub fn register_hist(&mut self, name: &'static str, lo: f64, hi: f64, nbins: usize) -> HistId {
-        HistId(self.hists.get_or_insert_with(name, || BinHist::new(lo, hi, nbins)))
-    }
-
-    /// Increment a counter through its handle.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, delta: u64) {
-        self.counters.values[id.0] += delta;
-    }
-
-    /// Set a gauge through its handle.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, value: f64) {
-        self.gauges.values[id.0] = value;
-    }
-
-    /// Record into a summary through its handle.
-    #[inline]
-    pub fn record(&mut self, id: SummaryId, value: f64) {
-        self.summaries.values[id.0].record(value);
-    }
-
-    /// Record into a histogram through its handle.
-    #[inline]
-    pub fn record_hist(&mut self, id: HistId, value: f64) {
-        self.hists.values[id.0].record(value);
     }
 }
 
@@ -363,76 +293,9 @@ impl TelemetryConfig {
     }
 }
 
-/// The recording interface the instrumented substrates program against.
-///
-/// [`Telemetry`] is the canonical implementation (its `Off` variant makes
-/// every method a no-op); [`Active`] implements it too for code that holds
-/// an always-on recorder.
-pub trait Recorder {
-    /// Append a structured trace event.
-    fn trace(&mut self, ev: TraceEvent);
-    /// Add `delta` to the named counter (registering it on first use).
-    fn count(&mut self, name: &'static str, delta: u64);
-    /// Set the named gauge (registering it on first use).
-    fn gauge(&mut self, name: &'static str, value: f64);
-    /// Record one observation into the named summary.
-    fn observe(&mut self, name: &'static str, value: f64);
-    /// Record one observation into the named histogram; the geometry
-    /// arguments apply only on first registration.
-    fn observe_hist(&mut self, name: &'static str, lo: f64, hi: f64, nbins: usize, value: f64);
-    /// Charge `wall_nanos` of wall-clock time to `handler` (self-profiling).
-    fn profile(&mut self, handler: &'static str, wall_nanos: u64);
-    /// Whether recording is live (lets callers skip expensive argument
-    /// construction when disabled).
-    fn enabled(&self) -> bool;
-}
-
-impl Recorder for Active {
-    #[inline]
-    fn trace(&mut self, ev: TraceEvent) {
-        self.ring.push(ev);
-    }
-
-    #[inline]
-    fn count(&mut self, name: &'static str, delta: u64) {
-        let id = self.register_counter(name);
-        self.add(id, delta);
-    }
-
-    #[inline]
-    fn gauge(&mut self, name: &'static str, value: f64) {
-        let id = self.register_gauge(name);
-        self.set(id, value);
-    }
-
-    #[inline]
-    fn observe(&mut self, name: &'static str, value: f64) {
-        let id = self.register_summary(name);
-        self.record(id, value);
-    }
-
-    #[inline]
-    fn observe_hist(&mut self, name: &'static str, lo: f64, hi: f64, nbins: usize, value: f64) {
-        let id = self.register_hist(name, lo, hi, nbins);
-        self.record_hist(id, value);
-    }
-
-    #[inline]
-    fn profile(&mut self, handler: &'static str, wall_nanos: u64) {
-        let i = self.profile.get_or_insert_with(handler, || (0, 0));
-        let (calls, nanos) = &mut self.profile.values[i];
-        *calls += 1;
-        *nanos += wall_nanos;
-    }
-
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
 /// A recorder that is either absent (`Off`, the default — every call inlines
-/// to a no-op) or live (`On`).
+/// to a no-op) or live (`On`). The instrumented substrates call its methods
+/// directly.
 #[derive(Clone, Debug, Default)]
 pub enum Telemetry {
     /// No recording; all methods are no-ops.
@@ -443,17 +306,12 @@ pub enum Telemetry {
 }
 
 impl Telemetry {
-    /// Disabled recorder (same as `Telemetry::default()`).
-    pub fn off() -> Self {
-        Telemetry::Off
-    }
-
     /// Live recorder with the given configuration.
     pub fn enabled(cfg: TelemetryConfig) -> Self {
         Telemetry::On(Box::new(Active::new(&cfg)))
     }
 
-    /// Convenience: build and append a trace event in one call.
+    /// Append a structured trace event.
     #[inline]
     pub fn event(
         &mut self,
@@ -465,7 +323,7 @@ impl Telemetry {
         b: i64,
     ) {
         if let Telemetry::On(act) = self {
-            act.trace(TraceEvent {
+            act.ring.push(TraceEvent {
                 t_nanos,
                 layer,
                 name,
@@ -476,11 +334,37 @@ impl Telemetry {
         }
     }
 
-    /// Access the live state, if any (for handle pre-registration).
-    pub fn active_mut(&mut self) -> Option<&mut Active> {
-        match self {
-            Telemetry::Off => None,
-            Telemetry::On(act) => Some(act),
+    /// Add `delta` to the named counter (registering it on first use).
+    #[inline]
+    pub fn count(&mut self, name: &'static str, delta: u64) {
+        if let Telemetry::On(act) = self {
+            *act.counters.slot(name, || 0) += delta;
+        }
+    }
+
+    /// Set the named gauge (registering it on first use).
+    #[inline]
+    pub fn gauge(&mut self, name: &'static str, value: f64) {
+        if let Telemetry::On(act) = self {
+            *act.gauges.slot(name, || 0.0) = value;
+        }
+    }
+
+    /// Record one observation into the named summary.
+    #[inline]
+    pub fn observe(&mut self, name: &'static str, value: f64) {
+        if let Telemetry::On(act) = self {
+            act.summaries.slot(name, Summary::new).record(value);
+        }
+    }
+
+    /// Charge `wall_nanos` of wall-clock time to `handler` (self-profiling).
+    #[inline]
+    pub fn profile(&mut self, handler: &'static str, wall_nanos: u64) {
+        if let Telemetry::On(act) = self {
+            let (calls, nanos) = act.profile.slot(handler, || (0, 0));
+            *calls += 1;
+            *nanos += wall_nanos;
         }
     }
 
@@ -492,59 +376,11 @@ impl Telemetry {
         }
     }
 
-    /// Whether this recorder is live. Recorders are per-subsystem and never
+    /// Whether this recorder is live (lets callers skip expensive argument
+    /// construction when disabled). Recorders are per-subsystem and never
     /// merged directly; combine their [`Snapshot`]s with [`Snapshot::absorb`].
     #[inline]
     pub fn is_on(&self) -> bool {
-        matches!(self, Telemetry::On(_))
-    }
-}
-
-impl Recorder for Telemetry {
-    #[inline]
-    fn trace(&mut self, ev: TraceEvent) {
-        if let Telemetry::On(act) = self {
-            act.trace(ev);
-        }
-    }
-
-    #[inline]
-    fn count(&mut self, name: &'static str, delta: u64) {
-        if let Telemetry::On(act) = self {
-            act.count(name, delta);
-        }
-    }
-
-    #[inline]
-    fn gauge(&mut self, name: &'static str, value: f64) {
-        if let Telemetry::On(act) = self {
-            act.gauge(name, value);
-        }
-    }
-
-    #[inline]
-    fn observe(&mut self, name: &'static str, value: f64) {
-        if let Telemetry::On(act) = self {
-            act.observe(name, value);
-        }
-    }
-
-    #[inline]
-    fn observe_hist(&mut self, name: &'static str, lo: f64, hi: f64, nbins: usize, value: f64) {
-        if let Telemetry::On(act) = self {
-            act.observe_hist(name, lo, hi, nbins, value);
-        }
-    }
-
-    #[inline]
-    fn profile(&mut self, handler: &'static str, wall_nanos: u64) {
-        if let Telemetry::On(act) = self {
-            act.profile(handler, wall_nanos);
-        }
-    }
-
-    #[inline]
-    fn enabled(&self) -> bool {
         matches!(self, Telemetry::On(_))
     }
 }
@@ -564,32 +400,6 @@ pub struct SummarySnap {
     pub min: Option<f64>,
     /// Largest observation, `None` when empty.
     pub max: Option<f64>,
-}
-
-/// Snapshot of one histogram instrument.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistSnap {
-    /// Instrument name.
-    pub name: &'static str,
-    /// Lower range bound (inclusive).
-    pub lo: f64,
-    /// Upper range bound (exclusive).
-    pub hi: f64,
-    /// Per-bin counts.
-    pub bins: Vec<u64>,
-    /// Observations below `lo`.
-    pub underflow: u64,
-    /// Observations at or above `hi`.
-    pub overflow: u64,
-    /// NaN observations (excluded from quantiles) — nonzero means a
-    /// measurement bug upstream.
-    pub nan: u64,
-    /// Total observations.
-    pub count: u64,
-    /// Median estimate, `None` when empty.
-    pub p50: Option<f64>,
-    /// 99th-percentile estimate, `None` when empty.
-    pub p99: Option<f64>,
 }
 
 /// Wall-clock profile of one event-handler type.
@@ -615,8 +425,6 @@ pub struct Snapshot {
     pub gauges: Vec<(&'static str, f64)>,
     /// Summary instruments in registration order.
     pub summaries: Vec<SummarySnap>,
-    /// Histogram instruments in registration order.
-    pub histograms: Vec<HistSnap>,
     /// Trace ring contents, oldest → newest.
     pub trace: Vec<TraceEvent>,
     /// Events overwritten because the ring was full.
@@ -627,65 +435,22 @@ pub struct Snapshot {
 
 impl Snapshot {
     fn of(act: &Active) -> Snapshot {
-        let counters = act
-            .counters
-            .names
-            .iter()
-            .zip(&act.counters.values)
-            .map(|(&n, &v)| (n, v))
-            .collect();
-        let gauges = act
-            .gauges
-            .names
-            .iter()
-            .zip(&act.gauges.values)
-            .map(|(&n, &v)| (n, v))
-            .collect();
         let summaries = act
             .summaries
-            .names
             .iter()
-            .zip(&act.summaries.values)
-            .map(|(&name, w)| {
-                let variance = if w.count < 2 {
-                    0.0
-                } else {
-                    w.m2 / (w.count - 1) as f64
-                };
-                SummarySnap {
-                    name,
-                    count: w.count,
-                    mean: if w.count == 0 { 0.0 } else { w.mean },
-                    std_dev: variance.sqrt(),
-                    min: (w.count > 0).then_some(w.min),
-                    max: (w.count > 0).then_some(w.max),
-                }
-            })
-            .collect();
-        let histograms = act
-            .hists
-            .names
-            .iter()
-            .zip(&act.hists.values)
-            .map(|(&name, h)| HistSnap {
+            .map(|(name, s)| SummarySnap {
                 name,
-                lo: h.lo,
-                hi: h.hi,
-                bins: h.bins.clone(),
-                underflow: h.underflow,
-                overflow: h.overflow,
-                nan: h.nan,
-                count: h.count,
-                p50: h.quantile(0.5),
-                p99: h.quantile(0.99),
+                count: s.count(),
+                mean: s.mean(),
+                std_dev: s.std_dev(),
+                min: s.min(),
+                max: s.max(),
             })
             .collect();
         let mut profile: Vec<HandlerStat> = act
             .profile
-            .names
             .iter()
-            .zip(&act.profile.values)
-            .map(|(&name, &(calls, nanos))| HandlerStat {
+            .map(|(name, &(calls, nanos))| HandlerStat {
                 name,
                 calls,
                 total_nanos: nanos,
@@ -698,10 +463,9 @@ impl Snapshot {
             .collect();
         profile.sort_by(|a, b| b.total_nanos.cmp(&a.total_nanos).then(a.name.cmp(b.name)));
         Snapshot {
-            counters,
-            gauges,
+            counters: act.counters.iter().map(|(n, &v)| (n, v)).collect(),
+            gauges: act.gauges.iter().map(|(n, &v)| (n, v)).collect(),
             summaries,
-            histograms,
             trace: act.ring.in_order(),
             trace_dropped: act.ring.dropped,
             profile,
@@ -726,36 +490,24 @@ impl Snapshot {
         self.summaries.iter().find(|s| s.name == name)
     }
 
-    /// Histogram instrument by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistSnap> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// The `k` hottest handlers by total wall time.
-    pub fn top_handlers(&self, k: usize) -> &[HandlerStat] {
-        &self.profile[..k.min(self.profile.len())]
-    }
-
     /// Equality over the deterministic sections only: trace and metrics are
     /// pure functions of the seed, the wall-clock profile is not.
     pub fn deterministic_eq(&self, other: &Snapshot) -> bool {
         self.counters == other.counters
             && self.gauges == other.gauges
             && self.summaries == other.summaries
-            && self.histograms == other.histograms
             && self.trace == other.trace
             && self.trace_dropped == other.trace_dropped
     }
 
-    /// Fold another snapshot into this one under a name prefix: its metrics
-    /// are appended (names kept, sections concatenated) and its trace events
-    /// merged in timestamp order. Used to combine per-subsystem recorders
+    /// Fold another snapshot into this one: its metrics are appended (names
+    /// kept, sections concatenated) and its trace events merged in
+    /// timestamp order. Used to combine per-subsystem recorders
     /// (network, sessions, user-sim) into one experiment-level snapshot.
     pub fn absorb(&mut self, other: Snapshot) {
         self.counters.extend(other.counters);
         self.gauges.extend(other.gauges);
         self.summaries.extend(other.summaries);
-        self.histograms.extend(other.histograms);
         self.trace.extend(other.trace);
         // Stable sort keeps same-timestamp events in concatenation order,
         // which is deterministic because absorb order is code-defined.
@@ -771,25 +523,19 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    fn ev(t: u64, name: &'static str) -> TraceEvent {
-        TraceEvent {
-            t_nanos: t,
-            layer: Layer::Resource,
-            name,
-            node: 1,
-            a: 0,
-            b: 0,
-        }
+    fn ev(t: &mut Telemetry, t_nanos: u64, name: &'static str) {
+        t.event(t_nanos, Layer::Resource, name, 1, 0, 0);
     }
 
     #[test]
     fn off_recorder_is_inert() {
-        let mut t = Telemetry::off();
-        t.trace(ev(1, "x"));
+        let mut t = Telemetry::Off;
+        t.event(1, Layer::Resource, "x", 1, 0, 0);
         t.count("c", 1);
+        t.gauge("g", 1.0);
         t.observe("s", 1.0);
         t.profile("h", 10);
-        assert!(!t.enabled());
+        assert!(!t.is_on());
         assert!(t.snapshot().is_none());
     }
 
@@ -797,7 +543,7 @@ mod tests {
     fn ring_drops_oldest_and_counts() {
         let mut t = Telemetry::enabled(TelemetryConfig { ring_capacity: 3 });
         for i in 0..5u64 {
-            t.trace(ev(i, "e"));
+            ev(&mut t, i, "e");
         }
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.trace_dropped, 2);
@@ -808,7 +554,7 @@ mod tests {
     #[test]
     fn zero_capacity_ring_ignores_events() {
         let mut t = Telemetry::enabled(TelemetryConfig::metrics_only());
-        t.trace(ev(1, "e"));
+        ev(&mut t, 1, "e");
         let snap = t.snapshot().unwrap();
         assert!(snap.trace.is_empty());
         assert_eq!(snap.trace_dropped, 0);
@@ -823,7 +569,6 @@ mod tests {
         t.gauge("queue.depth", 4.0);
         t.observe("svc.time", 1.0);
         t.observe("svc.time", 3.0);
-        t.observe_hist("lat", 0.0, 10.0, 10, 2.5);
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.counter("net.retries"), 5);
         assert_eq!(snap.counter("absent"), 0);
@@ -833,45 +578,7 @@ mod tests {
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert_eq!(s.min, Some(1.0));
         assert_eq!(s.max, Some(3.0));
-        let h = snap.histogram("lat").unwrap();
-        assert_eq!(h.count, 1);
-        assert_eq!(h.bins[2], 1);
-    }
-
-    #[test]
-    fn histogram_nan_routes_to_its_own_counter() {
-        // Regression: NaN fails both range tests and `(frac * nbins) as
-        // usize` saturates NaN to 0, so NaN samples were silently counted
-        // as bin-0 entries — a plausible-looking small latency.
-        let mut t = Telemetry::enabled(TelemetryConfig::default());
-        t.observe_hist("lat", 0.0, 10.0, 10, f64::NAN);
-        t.observe_hist("lat", 0.0, 10.0, 10, 2.5);
-        t.observe_hist("lat", 0.0, 10.0, 10, -1.0);
-        let snap = t.snapshot().unwrap();
-        let h = snap.histogram("lat").unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.nan, 1);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.bins[0], 0, "NaN must not land in bin 0");
-        assert_eq!(h.bins[2], 1);
-        // Quantiles ignore the NaN sample: only {-1.0 -> lo, 2.5} remain.
-        assert!(h.p99.unwrap() <= 3.0);
-
-        let mut all_nan = Telemetry::enabled(TelemetryConfig::default());
-        all_nan.observe_hist("lat", 0.0, 10.0, 10, f64::NAN);
-        let snap = all_nan.snapshot().unwrap();
-        let h = snap.histogram("lat").unwrap();
-        assert_eq!((h.count, h.nan), (1, 1));
-        assert_eq!(h.p50, None, "no numeric samples: no quantiles");
-    }
-
-    #[test]
-    fn handles_and_names_share_slots() {
-        let mut t = Telemetry::enabled(TelemetryConfig::default());
-        let id = t.active_mut().unwrap().register_counter("shared");
-        t.active_mut().unwrap().add(id, 2);
-        t.count("shared", 3);
-        assert_eq!(t.snapshot().unwrap().counter("shared"), 5);
+        assert!((s.std_dev - 2f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -884,7 +591,6 @@ mod tests {
         assert_eq!(snap.profile[0].name, "hot");
         assert_eq!(snap.profile[0].calls, 2);
         assert_eq!(snap.profile[0].total_nanos, 200);
-        assert_eq!(snap.top_handlers(1).len(), 1);
 
         let mut b = Telemetry::enabled(TelemetryConfig::default());
         b.profile("hot", 999); // different wall time, same deterministic part
@@ -895,10 +601,10 @@ mod tests {
     fn absorb_merges_sections_and_orders_trace() {
         let mut a = Telemetry::enabled(TelemetryConfig::default());
         a.count("a", 1);
-        a.trace(ev(5, "late"));
+        ev(&mut a, 5, "late");
         let mut b = Telemetry::enabled(TelemetryConfig::default());
         b.count("b", 2);
-        b.trace(ev(3, "early"));
+        ev(&mut b, 3, "early");
         let mut snap = a.snapshot().unwrap();
         snap.absorb(b.snapshot().unwrap());
         assert_eq!(snap.counter("a"), 1);

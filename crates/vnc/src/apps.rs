@@ -20,7 +20,7 @@ use crate::protocol::{encode_chunk_frames_into, PushResult, Reassembler, VncMsg}
 use crate::workloads::ScreenSource;
 use aroma_net::{Address, NetApp, NetCtx, NodeId};
 use aroma_sim::stats::Summary;
-use aroma_sim::telemetry::{Layer, Recorder};
+use aroma_sim::telemetry::Layer;
 use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
@@ -226,7 +226,7 @@ impl VncServerApp {
         // Pipeline stage timing is wall clock: in a discrete-event world
         // the compute stages (render/encode/chunk) occupy zero simulated
         // time, so their cost only shows up in the self-profiling section.
-        let profiling = ctx.telemetry().enabled();
+        let profiling = ctx.telemetry().is_on();
         // lint:allow(sim-wall-clock): render-stage profile timing feeds only Snapshot's profile section, which deterministic_eq excludes (pinned by traced_profile_never_reaches_deterministic_sections)
         let t0 = profiling.then(Instant::now);
         self.source.render(ctx.now(), &mut self.fb);
@@ -269,7 +269,7 @@ impl VncServerApp {
             self.encode_cache_hits += 1;
             return i;
         }
-        let profiling = ctx.telemetry().enabled();
+        let profiling = ctx.telemetry().is_on();
         // lint:allow(sim-wall-clock): encode-stage profile timing, same profile-only path as render_current's
         let t0 = profiling.then(Instant::now);
         let mut dirty = self.pool.take_indices();

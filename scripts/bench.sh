@@ -2,19 +2,20 @@
 # Perf trajectory: run the model-checker thread-scaling sweep (states/sec
 # at 1/2/4 workers on the session and lease models, cross-checked for
 # byte-identical reports) plus the fixed-seed E9 chaos recovery times, and
-# write the result to BENCH_check.json at the repository root; then run
+# append the result to BENCH_check.json at the repository root; then run
 # the mobile-code execution-tier sweep (checked interpreter vs verified
 # fast path vs translation-validated optimized programs, runs/sec on the
-# brightness proxy, a padded registration, and a counted loop) and write
-# BENCH_mcode.json. Numbers are hardware-honest — the JSON records
+# brightness proxy, a padded registration, and a counted loop) and append
+# it to BENCH_mcode.json. Every mode appends: each ledger is a JSON array
+# of entries, and a legacy single-object file becomes the array's first
+# entry. Numbers are hardware-honest — the JSON records
 # available_parallelism, and every point with workers beyond it is tagged
 # oversubscribed: true (coordination overhead, not speedup). Pass --quick
 # for a reduced sweep (20k-state / 20k-run bounds).
 #
 # Pass --scaling for the quick sharded-scaling mode: only the checker
 # sweep runs (states/sec at 1/2/4 workers with oversubscription flags),
-# and the entry is APPENDED to BENCH_check.json so the perf trajectory
-# accumulates across engine changes instead of overwriting its history.
+# and the entry is APPENDED to BENCH_check.json.
 #
 # Pass --discovery for the lease-table scaling mode: the registrars'
 # ServiceRegistry is swept at 10^4, 10^5, and 10^6 live leases

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: release build, test suite, warning-free clippy, every
-# Criterion stub bench function run once (`CRITERION_STUB_MS=0 cargo bench
-# -p lpc-bench`, so the 21 bench targets build and run), the model checker
+# Full local gate: release build, test suite, warning-free clippy,
+# warning-free rustdoc (so no intra-doc link dangles), every Criterion
+# stub bench function run once (`CRITERION_STUB_MS=0 cargo bench -p
+# lpc-bench`, so the 20 bench targets build and run), the model checker
 # in smoke mode (bounded exhaustive sweep of the session, lease, and
 # registrar-replication protocols — see DESIGN.md §9/§15) run
 # sequentially and with 2 and 4 workers and diffed (the sharded engine's
@@ -27,6 +28,10 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+
+# Doc gate: every intra-doc link resolves, so deleting or renaming an item
+# cannot leave a doc comment pointing at nothing.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Bench smoke: a zero budget makes the Criterion stub run each bench
 # function for a single iteration, so an API change that breaks a bench
