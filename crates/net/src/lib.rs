@@ -20,6 +20,10 @@
 //!   sense and receiver SINR both derive from `aroma-env` propagation
 //!   (path loss, walls, shadowing, channel overlap), so hidden terminals and
 //!   adjacent-channel leakage emerge rather than being scripted.
+//! * **Links** ([`links`]) — the link budget: each ordered node pair's path
+//!   loss, computed at its first query and kept until either end moves, so
+//!   carrier sense, SINR and rate selection read it instead of recomputing
+//!   the propagation physics per frame and listener.
 //! * **Network** ([`network`]) — the event loop tying it together, plus the
 //!   [`NetApp`] trait and [`NetCtx`] handle through which the higher
 //!   substrates (discovery, VNC, the Smart Projector) implement protocols.
@@ -35,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod frame;
+pub mod links;
 pub mod mac;
 pub mod medium;
 pub mod mobility;

@@ -6,11 +6,13 @@
 //! overlapping channels — using the propagation model from `aroma-env`.
 //! Carrier sense queries run against the same bookkeeping, so hidden
 //! terminals (out of CS range but in interference range of the receiver)
-//! arise naturally.
+//! arise naturally. Every received power comes from the network's
+//! [`LinkTable`], which computes each link's path loss once per geometry.
 
 use crate::frame::{Frame, NodeId};
+use crate::links::{interference_mw, LinkTable};
 use crate::phy::{Rate, CS_THRESHOLD_DBM};
-use aroma_env::radio::{Channel, RadioEnvironment};
+use aroma_env::radio::Channel;
 use aroma_env::space::Point;
 use aroma_sim::SimTime;
 
@@ -47,7 +49,7 @@ pub struct Transmission {
 /// decrement backoff while its own PA is on. Carrier sense
 /// ([`Medium::busy_for`]) and the network's backoff wakes share it.
 pub fn senses(
-    env: &RadioEnvironment,
+    links: &mut LinkTable,
     t: &Transmission,
     listener: NodeId,
     pos: Point,
@@ -56,11 +58,12 @@ pub fn senses(
     if t.src == listener {
         return true;
     }
-    let overlap = channel.overlap(t.channel);
-    overlap > 0.0
-        && env.received_dbm(t.tx_dbm, t.src.key(), t.src_pos, listener.key(), pos)
-            + 10.0 * overlap.log10()
-            >= CS_THRESHOLD_DBM
+    links
+        .overlap_db(channel, t.channel)
+        .is_some_and(|overlap_db| {
+            links.received_dbm(t.tx_dbm, t.src, t.src_pos, listener, pos) + overlap_db
+                >= CS_THRESHOLD_DBM
+        })
 }
 
 /// Bookkeeping for the shared medium.
@@ -135,7 +138,7 @@ impl Medium {
     /// Returns the latest end of the in-flight transmissions it [`senses`].
     pub fn busy_for(
         &mut self,
-        env: &RadioEnvironment,
+        links: &mut LinkTable,
         listener: NodeId,
         pos: Point,
         channel: Channel,
@@ -161,7 +164,7 @@ impl Medium {
             if t.start >= now || t.end <= now || Some(t.end) <= latest {
                 continue;
             }
-            if senses(env, t, listener, pos, channel) {
+            if senses(links, t, listener, pos, channel) {
                 latest = Some(t.end);
             }
         }
@@ -173,24 +176,19 @@ impl Medium {
     /// Interference integrates every other transmission overlapping the
     /// frame in time, weighted by spectral overlap and by the fraction of
     /// the frame it covered — the standard additive-interference
-    /// approximation.
+    /// approximation. The terms are summed in place, in registration order.
     pub fn sinr_for(
         &self,
-        env: &RadioEnvironment,
+        links: &mut LinkTable,
         of: TxId,
         listener: NodeId,
         pos: Point,
     ) -> Option<f64> {
         let wanted = self.get(of)?;
-        let signal_dbm = env.received_dbm(
-            wanted.tx_dbm,
-            wanted.src.key(),
-            wanted.src_pos,
-            listener.key(),
-            pos,
-        );
+        let signal_dbm =
+            links.received_dbm(wanted.tx_dbm, wanted.src, wanted.src_pos, listener, pos);
         let dur = (wanted.end - wanted.start).as_secs_f64().max(1e-12);
-        let mut interferers: Vec<(f64, f64)> = Vec::new();
+        let mut interference = 0.0;
         for t in &self.txs {
             if t.id == of || t.src == listener {
                 continue;
@@ -205,10 +203,10 @@ impl Medium {
                 continue;
             }
             let time_frac = (ov_end - ov_start).as_secs_f64() / dur;
-            let p_dbm = env.received_dbm(t.tx_dbm, t.src.key(), t.src_pos, listener.key(), pos);
-            interferers.push((p_dbm, spectral * time_frac.min(1.0)));
+            let p_dbm = links.received_dbm(t.tx_dbm, t.src, t.src_pos, listener, pos);
+            interference += interference_mw(p_dbm, spectral * time_frac.min(1.0));
         }
-        Some(env.sinr_db(signal_dbm, &interferers))
+        Some(links.sinr_db(signal_dbm, interference))
     }
 
     /// Was `listener` itself transmitting at any point during `[start, end)`?
@@ -224,13 +222,15 @@ impl Medium {
 mod tests {
     use super::*;
     use crate::frame::{Address, FrameKind};
+    use aroma_env::radio::RadioEnvironment;
     use bytes::Bytes;
 
-    fn env() -> RadioEnvironment {
-        RadioEnvironment {
+    /// A table that knows no nodes: every link is computed directly.
+    fn links() -> LinkTable {
+        LinkTable::new(RadioEnvironment {
             shadowing_sigma_db: 0.0,
             ..Default::default()
-        }
+        })
     }
 
     fn tx(src: u32, x: f64, ch: Channel, start_ns: u64, end_ns: u64) -> Transmission {
@@ -268,7 +268,7 @@ mod tests {
         let mut m = Medium::new();
         m.begin(tx(1, 0.0, Channel::CH6, 0, 1_000_000));
         let busy = m.busy_for(
-            &env(),
+            &mut links(),
             NodeId(2),
             Point::new(5.0, 0.0),
             Channel::CH6,
@@ -283,7 +283,7 @@ mod tests {
         m.begin(tx(1, 0.0, Channel::CH6, 0, 1_000_000));
         // At n=3.0 path loss, 15 dBm at ~500 m is far below −82 dBm.
         let busy = m.busy_for(
-            &env(),
+            &mut links(),
             NodeId(2),
             Point::new(500.0, 0.0),
             Channel::CH6,
@@ -297,7 +297,7 @@ mod tests {
         let mut m = Medium::new();
         m.begin(tx(1, 0.0, Channel::CH1, 0, 1_000_000));
         let busy = m.busy_for(
-            &env(),
+            &mut links(),
             NodeId(2),
             Point::new(2.0, 0.0),
             Channel::CH6,
@@ -312,7 +312,7 @@ mod tests {
         m.begin(tx(1, 0.0, Channel::CH1, 0, 1_000_000));
         // Even on an orthogonal channel, your own PA blinds you.
         let busy = m.busy_for(
-            &env(),
+            &mut links(),
             NodeId(1),
             Point::new(0.0, 0.0),
             Channel::CH11,
@@ -326,7 +326,7 @@ mod tests {
         let mut m = Medium::new();
         m.begin(tx(1, 0.0, Channel::CH6, 0, 100));
         let busy = m.busy_for(
-            &env(),
+            &mut links(),
             NodeId(2),
             Point::new(2.0, 0.0),
             Channel::CH6,
@@ -340,7 +340,7 @@ mod tests {
         let mut m = Medium::new();
         let id = m.begin(tx(1, 0.0, Channel::CH6, 0, 1_000_000));
         let sinr = m
-            .sinr_for(&env(), id, NodeId(2), Point::new(5.0, 0.0))
+            .sinr_for(&mut links(), id, NodeId(2), Point::new(5.0, 0.0))
             .unwrap();
         assert!(sinr > 20.0, "clean 5 m link should be strong: {sinr}");
     }
@@ -350,11 +350,11 @@ mod tests {
         let mut m = Medium::new();
         let id = m.begin(tx(1, 0.0, Channel::CH6, 0, 1_000_000));
         let clean = m
-            .sinr_for(&env(), id, NodeId(2), Point::new(5.0, 0.0))
+            .sinr_for(&mut links(), id, NodeId(2), Point::new(5.0, 0.0))
             .unwrap();
         m.begin(tx(3, 10.0, Channel::CH6, 0, 1_000_000));
         let jammed = m
-            .sinr_for(&env(), id, NodeId(2), Point::new(5.0, 0.0))
+            .sinr_for(&mut links(), id, NodeId(2), Point::new(5.0, 0.0))
             .unwrap();
         assert!(jammed < clean - 10.0, "{clean} -> {jammed}");
     }
@@ -365,13 +365,13 @@ mod tests {
         let id = m.begin(tx(1, 0.0, Channel::CH6, 0, 1_000_000));
         m.begin(tx(3, 10.0, Channel::CH6, 900_000, 1_900_000)); // 10% overlap
         let slight = m
-            .sinr_for(&env(), id, NodeId(2), Point::new(5.0, 0.0))
+            .sinr_for(&mut links(), id, NodeId(2), Point::new(5.0, 0.0))
             .unwrap();
         let mut m2 = Medium::new();
         let id2 = m2.begin(tx(1, 0.0, Channel::CH6, 0, 1_000_000));
         m2.begin(tx(3, 10.0, Channel::CH6, 0, 1_000_000)); // full overlap
         let full = m2
-            .sinr_for(&env(), id2, NodeId(2), Point::new(5.0, 0.0))
+            .sinr_for(&mut links(), id2, NodeId(2), Point::new(5.0, 0.0))
             .unwrap();
         assert!(slight > full, "partial {slight} vs full {full}");
     }
@@ -382,13 +382,15 @@ mod tests {
             let mut m = Medium::new();
             let id = m.begin(tx(1, 0.0, Channel::CH6, 0, 1_000_000));
             m.begin(tx(3, 10.0, Channel::CH6, 0, 1_000_000));
-            m.sinr_for(&env(), id, NodeId(2), Point::new(5.0, 0.0)).unwrap()
+            m.sinr_for(&mut links(), id, NodeId(2), Point::new(5.0, 0.0))
+                .unwrap()
         };
         let adj = {
             let mut m = Medium::new();
             let id = m.begin(tx(1, 0.0, Channel::CH6, 0, 1_000_000));
             m.begin(tx(3, 10.0, Channel::new(8), 0, 1_000_000));
-            m.sinr_for(&env(), id, NodeId(2), Point::new(5.0, 0.0)).unwrap()
+            m.sinr_for(&mut links(), id, NodeId(2), Point::new(5.0, 0.0))
+                .unwrap()
         };
         assert!(adj > co, "adjacent-channel should hurt less: {adj} vs {co}");
     }

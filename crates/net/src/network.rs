@@ -3,7 +3,9 @@
 //!
 //! A [`Network`] owns a set of nodes (position, channel, radio parameters,
 //! MAC state) sharing one [`crate::medium::Medium`] inside one
-//! [`RadioEnvironment`]. Applications implement [`NetApp`] and interact with
+//! [`RadioEnvironment`], whose link budget a [`LinkTable`] keeps: it holds
+//! each node's position and every link's path loss, and a move marks the
+//! mover's links stale. Applications implement [`NetApp`] and interact with
 //! the stack exclusively through a [`NetCtx`] — sending frames, arming
 //! timers, reading the clock — which is also how the higher substrates
 //! (`aroma-discovery`, `aroma-vnc`, `smart-projector`) are built.
@@ -43,6 +45,7 @@
 //! scheduled, and a tick the countdown skips cannot reorder the others.
 
 use crate::frame::{Address, Frame, FrameKind, NodeId, ACK_BYTES, MTU_BYTES};
+use crate::links::LinkTable;
 use crate::mac::{countdown_boundary, MacConfig, MacNode, MacState, TickPhase, TxJob};
 use crate::medium::{senses, Medium, Transmission, TxId};
 use crate::mobility::MobilityPath;
@@ -291,7 +294,7 @@ impl NetCtx<'_> {
 
     /// This node's position.
     pub fn position(&self) -> Point {
-        self.core.nodes[self.node.0 as usize].pos
+        self.core.links.position(self.node)
     }
 
     /// Number of nodes in the network.
@@ -363,7 +366,7 @@ impl NetCtx<'_> {
 
     /// Mean SNR (dB, interference-free) of the link to `peer` — what a
     /// driver would estimate from beacons; used by apps for diagnostics.
-    pub fn link_snr_db(&self, peer: NodeId) -> f64 {
+    pub fn link_snr_db(&mut self, peer: NodeId) -> f64 {
         self.core.link_snr_db(self.node, peer)
     }
 
@@ -470,7 +473,6 @@ enum AppCall {
 }
 
 struct NodeInfo {
-    pos: Point,
     channel: Channel,
     tx_dbm: f64,
     adapt: RateAdaptation,
@@ -501,7 +503,8 @@ struct WiredLink {
 
 struct Core {
     queue: EventQueue<Event>,
-    env: RadioEnvironment,
+    /// Node positions and the path loss of every link between them.
+    links: LinkTable,
     cfg: MacConfig,
     nodes: Vec<NodeInfo>,
     medium: Medium,
@@ -544,7 +547,7 @@ fn ack_timeout(cfg: &MacConfig) -> SimDuration {
 /// instant it starts). `None` when no such boundary comes before the
 /// countdown's own end tick, which then does the check itself.
 fn wake_for(
-    env: &RadioEnvironment,
+    links: &mut LinkTable,
     slot: SimDuration,
     id: NodeId,
     node: &NodeInfo,
@@ -558,7 +561,8 @@ fn wake_for(
         return None;
     };
     let wake = countdown_boundary(at, remaining, slot, t.start, true)?;
-    (wake < t.end && senses(env, t, id, node.pos, node.channel)).then_some(wake)
+    let pos = links.position(id);
+    (wake < t.end && senses(links, t, id, pos, node.channel)).then_some(wake)
 }
 
 impl Core {
@@ -566,12 +570,10 @@ impl Core {
         &mut self.nodes[id.0 as usize]
     }
 
-    fn link_snr_db(&self, a: NodeId, b: NodeId) -> f64 {
-        let na = &self.nodes[a.0 as usize];
-        let nb = &self.nodes[b.0 as usize];
-        self.env
-            .received_dbm(na.tx_dbm, a.key(), na.pos, b.key(), nb.pos)
-            - self.env.noise_floor_dbm()
+    fn link_snr_db(&mut self, a: NodeId, b: NodeId) -> f64 {
+        let tx_dbm = self.nodes[a.0 as usize].tx_dbm;
+        let (pa, pb) = (self.links.position(a), self.links.position(b));
+        self.links.received_dbm(tx_dbm, a, pa, b, pb) - self.links.noise_floor_dbm()
     }
 
     fn enqueue(&mut self, src: NodeId, dst: Address, payload: Bytes) -> bool {
@@ -700,9 +702,10 @@ impl Core {
             *counted_at = Some(now);
         }
         // Carrier sense against the live medium.
+        let pos = self.links.position(id);
         if let Some(busy_end) = self
             .medium
-            .busy_for(&self.env, id, node.pos, node.channel, now)
+            .busy_for(&mut self.links, id, pos, node.channel, now)
         {
             // Busy: freeze the countdown, poll again when the sensed
             // transmission ends. The new generation retires the
@@ -760,7 +763,7 @@ impl Core {
     fn wake_for_registered(&mut self, id: NodeId) {
         let node = &self.nodes[id.0 as usize];
         for t in self.medium.starting_from(self.queue.now()) {
-            if let Some(at) = wake_for(&self.env, self.cfg.slot, id, node, t) {
+            if let Some(at) = wake_for(&mut self.links, self.cfg.slot, id, node, t) {
                 let (gen, phase) = (node.mac.gen, TickPhase::Slot);
                 self.queue.schedule_at(
                     at,
@@ -779,7 +782,7 @@ impl Core {
     fn begin(&mut self, tx: Transmission) -> TxId {
         for &id in &self.counting {
             let node = &self.nodes[id.0 as usize];
-            if let Some(at) = wake_for(&self.env, self.cfg.slot, id, node, &tx) {
+            if let Some(at) = wake_for(&mut self.links, self.cfg.slot, id, node, &tx) {
                 let (gen, phase) = (node.mac.gen, TickPhase::Slot);
                 self.queue.schedule_at(
                     at,
@@ -796,29 +799,22 @@ impl Core {
 
     fn transmit_head(&mut self, id: NodeId) {
         let now = self.queue.now();
-        let (frame, rate, pos, ch, tx_dbm) = {
-            let adapt = self.nodes[id.0 as usize].adapt;
-            let rate = match self.nodes[id.0 as usize]
-                .mac
-                .queue
-                .front()
-                .expect("transmit with empty queue")
-                .frame
-                .dst
-            {
+        let (frame, rate, ch, tx_dbm) = {
+            let n = &self.nodes[id.0 as usize];
+            let job = n.mac.queue.front().expect("transmit with empty queue");
+            let (frame, adapt, ch, tx_dbm) = (job.frame.clone(), n.adapt, n.channel, n.tx_dbm);
+            let rate = match frame.dst {
                 Address::Node(d) => adapt.select(self.link_snr_db(id, d)),
                 // Broadcasts go at a basic rate every receiver can decode.
                 Address::Broadcast => Rate::R2,
             };
-            let n = &self.nodes[id.0 as usize];
-            let job = n.mac.queue.front().unwrap();
-            (job.frame.clone(), rate, n.pos, n.channel, n.tx_dbm)
+            (frame, rate, ch, tx_dbm)
         };
         let air = airtime(frame.wire_bits(), rate);
         let tx = self.begin(Transmission {
             id: TxId(0),
             src: id,
-            src_pos: pos,
+            src_pos: self.links.position(id),
             channel: ch,
             tx_dbm,
             rate,
@@ -854,7 +850,7 @@ impl Core {
         let tx = self.begin(Transmission {
             id: TxId(0),
             src: from,
-            src_pos: n.pos,
+            src_pos: self.links.position(from),
             channel: n.channel,
             tx_dbm: n.tx_dbm,
             rate: Rate::R2,
@@ -913,8 +909,8 @@ impl Core {
         if self.medium.was_transmitting(rx, t.start, t.end) {
             return false; // half duplex
         }
-        let pos = self.nodes[rx.0 as usize].pos;
-        let Some(sinr) = self.medium.sinr_for(&self.env, t.id, rx, pos) else {
+        let pos = self.links.position(rx);
+        let Some(sinr) = self.medium.sinr_for(&mut self.links, t.id, rx, pos) else {
             return false;
         };
         let per = packet_error_rate(t.rate, sinr, t.frame.wire_bits());
@@ -976,11 +972,10 @@ impl Core {
                 }
             }
             Address::Broadcast => {
-                let receivers: Vec<NodeId> = (0..self.nodes.len() as u32)
+                for r in (0..self.nodes.len() as u32)
                     .map(NodeId)
                     .filter(|&r| r != src)
-                    .collect();
-                for r in receivers {
+                {
                     if self.receive_ok(t, r) {
                         self.deliver(t, r);
                     }
@@ -1295,17 +1290,17 @@ impl Core {
 
     fn on_mobility_tick(&mut self, id: NodeId) {
         let now = self.queue.now();
-        let node = &mut self.nodes[id.0 as usize];
-        let Some(path) = node.mobility.clone() else {
+        let Some(path) = &self.nodes[id.0 as usize].mobility else {
             return;
         };
-        let pos = path.position_at(now);
-        if pos != node.pos {
-            node.pos = pos;
+        let (pos, period, ends_at) = (path.position_at(now), path.update_period, path.ends_at());
+        if pos != self.links.position(id) {
+            self.links.move_node(id, pos);
             // A counting node now senses every transmission from elsewhere:
             // wake it at its next boundary (mobility runs before the MAC
             // ticks of its instant, so that may be now) for those on the
             // air, and for each registered one yet to start.
+            let node = &self.nodes[id.0 as usize];
             if let MacState::Contending {
                 remaining,
                 counted_at: Some(at),
@@ -1318,9 +1313,9 @@ impl Core {
                 self.wake_for_registered(id);
             }
         }
-        if now < path.ends_at() {
+        if now < ends_at {
             self.queue
-                .schedule_in(path.update_period, Event::MobilityTick { node: id });
+                .schedule_in(period, Event::MobilityTick { node: id });
         }
     }
 }
@@ -1329,6 +1324,9 @@ impl Core {
 pub struct Network {
     core: Core,
     apps: Vec<Option<Box<dyn NetApp>>>,
+    /// The app calls of the last batch drained, emptied and kept for its
+    /// capacity: `drain_app_calls` swaps it with `Core::pending`.
+    draining: Vec<AppCall>,
     started: bool,
 }
 
@@ -1338,7 +1336,7 @@ impl Network {
         Network {
             core: Core {
                 queue: EventQueue::keyed(Event::tie_key),
-                env,
+                links: LinkTable::new(env),
                 cfg,
                 nodes: Vec::new(),
                 medium: Medium::new(),
@@ -1355,6 +1353,7 @@ impl Network {
                 faults: None,
             },
             apps: Vec::new(),
+            draining: Vec::new(),
             started: false,
         }
     }
@@ -1391,10 +1390,9 @@ impl Network {
     /// `run_*` call.
     pub fn add_node(&mut self, nc: NodeConfig, app: Box<dyn NetApp>) -> NodeId {
         assert!(!self.started, "nodes must be added before the network starts");
-        let id = NodeId(self.core.nodes.len() as u32);
+        let id = self.core.links.add_node(nc.pos);
         let rng = self.core.rng.fork(id.key() ^ 0xA11CE);
         self.core.nodes.push(NodeInfo {
-            pos: nc.pos,
             channel: nc.channel,
             tx_dbm: nc.tx_dbm,
             adapt: nc.adapt,
@@ -1491,7 +1489,7 @@ impl Network {
     }
 
     /// Mean interference-free SNR of the `a → b` link, dB.
-    pub fn link_snr_db(&self, a: NodeId, b: NodeId) -> f64 {
+    pub fn link_snr_db(&mut self, a: NodeId, b: NodeId) -> f64 {
         self.core.link_snr_db(a, b)
     }
 
@@ -1516,7 +1514,7 @@ impl Network {
 
     /// Current position of a node (moves if the node has a trajectory).
     pub fn position_of(&self, node: NodeId) -> Point {
-        self.core.nodes[node.0 as usize].pos
+        self.core.links.position(node)
     }
 
     fn with_app(&mut self, id: NodeId, f: impl FnOnce(&mut dyn NetApp, &mut NetCtx<'_>)) {
@@ -1531,10 +1529,14 @@ impl Network {
         self.apps[id.0 as usize] = Some(app);
     }
 
+    /// Run the queued app calls in order. Callbacks queue further calls,
+    /// which run as the next batch; the two buffers trade places, so in
+    /// steady state no batch allocates.
     fn drain_app_calls(&mut self) {
         while !self.core.pending.is_empty() {
-            let calls = std::mem::take(&mut self.core.pending);
-            for call in calls {
+            let spare = std::mem::take(&mut self.draining);
+            let mut calls = std::mem::replace(&mut self.core.pending, spare);
+            for call in calls.drain(..) {
                 match call {
                     AppCall::Packet {
                         node,
@@ -1552,6 +1554,7 @@ impl Network {
                     AppCall::Restart { node } => self.with_app(node, |a, c| a.on_restart(c)),
                 }
             }
+            self.draining = calls;
         }
     }
 

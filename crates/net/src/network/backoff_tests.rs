@@ -1,11 +1,14 @@
 //! The event-driven backoff countdown against the per-slot loop it
+//! replaced, and the link table against the direct computation it
 //! replaced. `Core::per_slot` replays that loop: it also ticks every
 //! counting node at each of its slot boundaries, so every tick folds in no
 //! skipped slot. With it off, only a countdown's end and its wakes tick.
-//! Both must simulate the same run, event for event.
+//! `LinkTable::direct` computes every link's path loss afresh at every
+//! query. Each reference must simulate the same run, event for event.
 
 use super::*;
 use crate::traffic::{CountingSink, PoissonSource, SaturatedSource};
+use aroma_env::space::{Material, Wall};
 use aroma_sim::faults::{random_storm, StormConfig};
 
 /// Random worlds the differential test runs, each in both modes.
@@ -54,11 +57,12 @@ fn assert_same(fast: &Run, slow: &Run, what: &str) {
 }
 
 /// Random world `seed`: 3–24 nodes on channels 1/3/6/8/11 in a 120 × 60 m
-/// hall (so some are hidden from each other), with or without shadowing;
-/// sinks and unicast, broadcast and saturated sources; about a third of the
-/// nodes walk, re-sampled every 2 to 250 slots; half the worlds get a
-/// fault storm; and the default, a 9-µs-slot or a small-CW MAC timing.
-fn random_world(seed: u64, per_slot: bool) -> Run {
+/// hall (so some are hidden from each other) with 0–3 walls, with or
+/// without shadowing; sinks and unicast, broadcast and saturated sources;
+/// about a third of the nodes walk, re-sampled every 2 to 250 slots; half
+/// the worlds get a fault storm; and the default, a 9-µs-slot or a
+/// small-CW MAC timing. `reference` switches a reference mode on.
+fn random_world(seed: u64, reference: fn(&mut Core)) -> Run {
     let mut rng = SimRng::new(seed);
     let cfg = match rng.below(3) {
         0 => MacConfig::default(),
@@ -73,16 +77,24 @@ fn random_world(seed: u64, per_slot: bool) -> Run {
             ..MacConfig::default()
         },
     };
+    let place =
+        |rng: &mut SimRng| Point::new(rng.uniform_range(0.0, 120.0), rng.uniform_range(0.0, 60.0));
+    let materials = [Material::Drywall, Material::Brick, Material::Concrete];
     let env = RadioEnvironment {
         shadowing_sigma_db: if rng.chance(0.5) { 0.0 } else { 6.0 },
         shadowing_seed: rng.next_u64_raw(),
+        walls: (0..rng.below(4))
+            .map(|_| {
+                let (a, b) = (place(&mut rng), place(&mut rng));
+                Wall::new(a, b, materials[rng.below(3) as usize])
+            })
+            .collect(),
         ..RadioEnvironment::default()
     };
-    let mut net = traced(env, cfg, seed, per_slot);
+    let mut net = traced(env, cfg, seed, false);
+    reference(&mut net.core);
     let horizon = SimTime::from_nanos(300_000_000);
     let n = 3 + rng.below(22) as u32;
-    let place =
-        |rng: &mut SimRng| Point::new(rng.uniform_range(0.0, 120.0), rng.uniform_range(0.0, 60.0));
     for i in 0..n {
         let channel = Channel::new([1, 3, 6, 8, 11][rng.below(5) as usize]);
         let mut nc = NodeConfig::at_on(place(&mut rng), channel);
@@ -129,8 +141,8 @@ fn random_world(seed: u64, per_slot: bool) -> Run {
 fn event_driven_countdown_matches_the_per_slot_loop() {
     let (mut fast_ticks, mut slow_ticks) = (0, 0);
     for seed in 0..WORLDS {
-        let fast = random_world(seed, false);
-        let slow = random_world(seed, true);
+        let fast = random_world(seed, |_| {});
+        let slow = random_world(seed, |core| core.per_slot = true);
         assert_same(&fast, &slow, &format!("world {seed}"));
         fast_ticks += fast.mac_ticks;
         slow_ticks += slow.mac_ticks;
@@ -140,6 +152,15 @@ fn event_driven_countdown_matches_the_per_slot_loop() {
         fast_ticks * 3 < slow_ticks,
         "{fast_ticks} countdown ticks against {slow_ticks} per-slot ticks"
     );
+}
+
+#[test]
+fn link_table_matches_the_direct_computation() {
+    for seed in 0..WORLDS {
+        let table = random_world(seed, |_| {});
+        let direct = random_world(seed, |core| core.links.direct = true);
+        assert_same(&table, &direct, &format!("world {seed}"));
+    }
 }
 
 /// Broadcasts one frame from `on_start` (and again after a restart).

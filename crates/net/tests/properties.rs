@@ -3,6 +3,7 @@
 
 use aroma_env::radio::{Channel, RadioEnvironment};
 use aroma_env::space::Point;
+use aroma_net::links::LinkTable;
 use aroma_net::medium::{Medium, Transmission, TxId};
 use aroma_net::phy::CS_THRESHOLD_DBM;
 use aroma_net::{
@@ -229,8 +230,9 @@ proptest! {
     }
 }
 
-/// Carrier sense by a full scan of every retained transmission: the
-/// reference for `Medium::busy_for`, which skips a watermarked prefix.
+/// Carrier sense by a full scan of every retained transmission, each power
+/// straight from `RadioEnvironment`: the reference for `Medium::busy_for`,
+/// which skips a watermarked prefix and reads its powers from a link table.
 fn busy_reference(
     txs: &[Transmission],
     env: &RadioEnvironment,
@@ -259,21 +261,29 @@ proptest! {
     /// `busy_for` answers exactly what a full scan of every transmission
     /// ever registered answers, over random transmissions (short and long,
     /// on overlapping channels, some starting later than the clock),
-    /// non-decreasing query times and interleaved prunes.
+    /// non-decreasing query times and interleaved prunes. Nodes at home
+    /// are where the link table places them, so their links come from the
+    /// table; elsewhere the table computes them directly.
     #[test]
     fn busy_for_matches_full_scan(
         ops in prop::collection::vec(
-            (0u8..10, 0u32..6, 0.0f64..80.0, 1u8..=11, 0u64..3_000, 1u64..40_000),
+            (0u8..10, 0u32..6, 0.0f64..80.0, 1u8..=11, 0u64..3_000, 1u64..40_000, any::<bool>()),
             1..300,
         ),
     ) {
         let env = quiet();
+        let home = |node: u32| Point::new(f64::from(node) * 13.0, 0.0);
+        let mut links = LinkTable::new(env.clone());
+        for node in 0..6 {
+            links.add_node(home(node));
+        }
         let mut medium = Medium::new();
         let mut mirror: Vec<Transmission> = Vec::new();
         let mut now = SimTime::ZERO;
-        for (kind, node, x, ch, dt, len) in ops {
+        for (kind, node, x, ch, dt, len, at_home) in ops {
             now += SimDuration::from_nanos(dt);
-            let (src, pos, channel) = (NodeId(node), Point::new(x, 0.0), Channel::new(ch));
+            let pos = if at_home { home(node) } else { Point::new(x, 0.0) };
+            let (src, channel) = (NodeId(node), Channel::new(ch));
             match kind {
                 0..=5 => {
                     // Data frames start now, ACKs a SIFS later.
@@ -300,7 +310,7 @@ proptest! {
                 }
                 6..=8 => {
                     let want = busy_reference(&mirror, &env, src, pos, channel, now);
-                    prop_assert_eq!(medium.busy_for(&env, src, pos, channel, now), want);
+                    prop_assert_eq!(medium.busy_for(&mut links, src, pos, channel, now), want);
                 }
                 _ => medium.prune(now),
             }
@@ -310,25 +320,35 @@ proptest! {
     /// Pruning at every frame end loses nothing a later query needs: at
     /// each end, in end order as the network handles them (same-instant
     /// ends included), `sinr_for` and `was_transmitting` answer bit for bit
-    /// what a never-pruned mirror answers, for every listener.
+    /// what a never-pruned mirror answers, for every listener. The pruned
+    /// medium reads its powers from a link table that knows the six nodes
+    /// (senders at home hit it), the mirror from a table that knows none,
+    /// and both SINRs must equal `sinr_reference` over every transmission.
     #[test]
     fn sinr_and_half_duplex_match_a_never_pruned_mirror(
         ops in prop::collection::vec(
-            (any::<bool>(), 0u32..6, 0.0f64..60.0, 1u8..=11, 0u64..400, 1u64..40),
+            (any::<bool>(), 0u32..6, 0.0f64..60.0, 1u8..=11, 0u64..400, 1u64..40, any::<bool>()),
             1..150,
         ),
     ) {
         let env = RadioEnvironment::default();
+        let home = |node: u32| Point::new(f64::from(node) * 7.0, 3.0);
+        let (mut links, mut direct) = (LinkTable::new(env.clone()), LinkTable::new(env.clone()));
+        for node in 0..6 {
+            links.add_node(home(node));
+        }
         let (mut medium, mut mirror) = (Medium::new(), Medium::new());
+        let mut all: Vec<Transmission> = Vec::new();
         let mut ends = BTreeSet::new();
         let mut now = SimTime::ZERO;
         let ack = SimDuration::from_micros(300);
         // End every frame due by `until`, checking each against the mirror
         // and then pruning as `TxEnd` does.
-        let end_frames = |medium: &mut Medium,
-                          mirror: &Medium,
-                          ends: &mut BTreeSet<(SimTime, TxId)>,
-                          until: SimTime| {
+        let mut end_frames = |medium: &mut Medium,
+                              mirror: &Medium,
+                              all: &[Transmission],
+                              ends: &mut BTreeSet<(SimTime, TxId)>,
+                              until: SimTime| {
             while let Some((end, id)) = ends.pop_first() {
                 if end > until {
                     ends.insert((end, id));
@@ -337,12 +357,14 @@ proptest! {
                 let t = mirror.get(id).unwrap();
                 assert_eq!(medium.get(id).map(|m| m.end), Some(end));
                 for node in 0..6 {
-                    let (rx, pos) = (NodeId(node), Point::new(node as f64 * 7.0, 3.0));
+                    let (rx, pos) = (NodeId(node), home(node));
                     let (got, want) = (
-                        medium.sinr_for(&env, t.id, rx, pos),
-                        mirror.sinr_for(&env, t.id, rx, pos),
+                        medium.sinr_for(&mut links, t.id, rx, pos),
+                        mirror.sinr_for(&mut direct, t.id, rx, pos),
                     );
                     assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                    let reference = sinr_reference(all, &env, t, rx, pos);
+                    assert_eq!(got.map(f64::to_bits), Some(reference.to_bits()));
                     assert_eq!(
                         medium.was_transmitting(rx, t.start, t.end),
                         mirror.was_transmitting(rx, t.start, t.end)
@@ -355,18 +377,18 @@ proptest! {
                 medium.prune(end);
             }
         };
-        for (is_ack, node, x, ch, dt, len) in ops {
+        for (is_ack, node, x, ch, dt, len, at_home) in ops {
             let target = now + SimDuration::from_micros(dt);
-            end_frames(&mut medium, &mirror, &mut ends, target);
+            end_frames(&mut medium, &mirror, &all, &mut ends, target);
             now = target;
             // Data frames start now, ACKs a SIFS later; lengths are whole
             // 10-µs steps so that ends often coincide.
             let start = now + SimDuration::from_micros(if is_ack { 10 } else { 0 });
             let (src, channel) = (NodeId(node), Channel::new(ch));
-            let tx = Transmission {
+            let mut tx = Transmission {
                 id: TxId(0),
                 src,
-                src_pos: Point::new(x, 0.0),
+                src_pos: if at_home { home(node) } else { Point::new(x, 0.0) },
                 channel,
                 tx_dbm: 15.0,
                 rate: Rate::R2,
@@ -383,12 +405,42 @@ proptest! {
             let id = medium.begin(tx.clone());
             prop_assert_eq!(mirror.begin(tx.clone()), id);
             ends.insert((tx.end, id));
+            tx.id = id;
+            all.push(tx);
         }
-        end_frames(&mut medium, &mirror, &mut ends, SimTime::MAX);
+        end_frames(&mut medium, &mirror, &all, &mut ends, SimTime::MAX);
         // Once every frame has ended, the next prune empties the medium.
         medium.prune(SimTime::MAX);
         prop_assert_eq!(medium.retained(), 0);
     }
+}
+
+/// `Medium::sinr_for` straight from `RadioEnvironment`: every other
+/// transmission in `txs` that overlaps `wanted`, each power from
+/// `received_dbm`, collected and handed to `sinr_db`.
+fn sinr_reference(
+    txs: &[Transmission],
+    env: &RadioEnvironment,
+    wanted: &Transmission,
+    listener: NodeId,
+    pos: Point,
+) -> f64 {
+    let power =
+        |t: &Transmission| env.received_dbm(t.tx_dbm, t.src.key(), t.src_pos, listener.key(), pos);
+    let dur = (wanted.end - wanted.start).as_secs_f64().max(1e-12);
+    let interferers: Vec<(f64, f64)> = txs
+        .iter()
+        .filter(|t| t.id != wanted.id && t.src != listener)
+        .filter_map(|t| {
+            let (ov_start, ov_end) = (t.start.max(wanted.start), t.end.min(wanted.end));
+            let spectral = wanted.channel.overlap(t.channel);
+            (ov_end > ov_start && spectral > 0.0).then(|| {
+                let time_frac = (ov_end - ov_start).as_secs_f64() / dur;
+                (power(t), spectral * time_frac.min(1.0))
+            })
+        })
+        .collect();
+    env.sinr_db(power(wanted), &interferers)
 }
 
 /// The `Instant::now` in `Network::dispatch` is waived with

@@ -17,8 +17,10 @@
 # determinism gate: zero unwaived nondet-order or sim-purity findings
 # across the workspace, every waiver carrying a reason (DESIGN.md §14), and
 # the end-to-end benchmark's own tests plus one short traced run of each of
-# its workloads (e2ebench/README.md), and the exactness gate: `repro all`
-# must print the committed repro_full_output.txt byte for byte, so an
+# its workloads (e2ebench/README.md), and the exactness gates: `repro all`
+# must print the committed repro_full_output.txt byte for byte, and every
+# pass digest of the benchmark's workloads (seeds 233, 4242 and 977, traced
+# and untraced) must equal scripts/e2e-digests/expected.txt, so an
 # optimization that claims to leave the simulated output unchanged
 # (DESIGN.md §6) is held to it.
 # Run from the repository root: ./scripts/check.sh
@@ -118,3 +120,13 @@ for workload in building chaos; do
     --workload "$workload" --seed 233 --seconds 1 --trace 1) \
     || { printf '%s\n' "$e2e_out"; echo "FAIL: e2ebench $workload run failed its checks"; exit 1; }
 done
+
+# Digest gate: the pass digest of each benchmark workload at each pinned
+# seed, traced and untraced, equals the committed expected.txt. The digest
+# package builds into e2ebench's target directory with e2ebench's release
+# profile, so it reuses the build above. A change that moves simulated
+# output on purpose regenerates the file and says why, as for
+# repro_full_output.txt.
+cargo run --release --offline --quiet --manifest-path scripts/e2e-digests/Cargo.toml \
+  --target-dir e2ebench/target | diff - scripts/e2e-digests/expected.txt \
+  || { echo "FAIL: e2ebench pass digests diverge from scripts/e2e-digests/expected.txt"; exit 1; }
