@@ -91,9 +91,11 @@ impl Default for ReplConfig {
 pub struct ReplState {
     /// Per-member replica core; `None` while crashed.
     nodes: Vec<Option<ReplicaNode>>,
-    /// Per-member durable blob, mirrored after every mutation (the
-    /// synchronous fsync the I/O layer performs); crash keeps it.
-    durable: Vec<DurableState>,
+    /// Per-member disk: the durable image `Crash` took from the node it
+    /// dropped, until `Restart` reads it; `None` while the node runs. As
+    /// in the I/O layer, one image per crash is what a persist after every
+    /// transition would have left, since transitions are atomic.
+    durable: Vec<Option<DurableState>>,
     /// Model time.
     now: SimTime,
     /// In-flight messages `(from, to, msg)`, kept sorted by canonical
@@ -225,9 +227,8 @@ impl ReplModel {
     }
 
     /// Route a node's effects: `Send`s enter the channel (or are lost at
-    /// capacity), acks and notifies leave the model; then mirror the
-    /// acting node's durable fraction, as the I/O layer's synchronous
-    /// persist does after every event.
+    /// capacity), acks and notifies leave the model. Nothing is persisted
+    /// here; the disk image is taken at the crash.
     fn route(&self, s: &mut ReplState, acting: usize, effects: Vec<Effect>) {
         for fx in effects {
             if let Effect::Send { to, msg } = fx {
@@ -235,9 +236,6 @@ impl ReplModel {
                     s.channel.push((s.nodes[acting].as_ref().map_or(acting as u32, |n| n.me), to, msg));
                 }
             }
-        }
-        if let Some(n) = s.nodes[acting].as_ref() {
-            s.durable[acting] = n.durable();
         }
         s.channel.sort_by_cached_key(|(f, t, m)| (*f, *t, m.encode()[..].to_vec()));
     }
@@ -349,10 +347,9 @@ impl Model for ReplModel {
         let ccfg = self.cluster_config();
         let nodes: Vec<Option<ReplicaNode>> =
             (0..self.cfg.members).map(|i| Some(ReplicaNode::new(i, ccfg.clone()))).collect();
-        let durable = nodes.iter().map(|n| n.as_ref().unwrap().durable()).collect();
         let mut s = ReplState {
+            durable: vec![None; nodes.len()],
             nodes,
-            durable,
             now: SimTime::ZERO,
             channel: Vec::new(),
             ops_left: self.cfg.ops,
@@ -463,14 +460,11 @@ impl Model for ReplModel {
             }
             ReplAction::Crash { node } => {
                 s.crashes_left -= 1;
-                s.nodes[*node] = None;
+                s.durable[*node] = Some(s.nodes[*node].take()?.durable());
             }
             ReplAction::Restart { node } => {
-                let mut n = ReplicaNode::restore(
-                    *node as u32,
-                    self.cluster_config(),
-                    s.durable[*node].clone(),
-                );
+                let image = s.durable[*node].take()?;
+                let mut n = ReplicaNode::restore(*node as u32, self.cluster_config(), image);
                 n.note_heard(s.now);
                 s.nodes[*node] = Some(n);
             }
@@ -497,8 +491,9 @@ impl Model for ReplModel {
                 None => {
                     // Crashed: only the durable blob is behaviourally
                     // relevant (it is what a restart resurrects).
+                    let image = s.durable[i].as_ref().expect("a crashed node left a disk image");
                     k.push(0);
-                    Self::pack_bytes(&mut k, &s.durable[i].encode()[..]);
+                    Self::pack_bytes(&mut k, &image.encode()[..]);
                 }
                 Some(n) => {
                     let words = n.canonical_words();

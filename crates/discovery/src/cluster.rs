@@ -5,10 +5,13 @@
 //! protocol, unchanged on the wire) arrives over the WLAN, replication
 //! traffic ([`RepMsg`], `0xD2`-framed) flows over the wired federation
 //! links, and three timers drive heartbeats, rank-staggered elections and
-//! expiry sweeps. Every state change is "fsynced": the node's
-//! [`DurableState`] is re-encoded into a field the fault plane's
-//! `ProcessKill` does not clear, so a killed registrar restarts from its
-//! snapshot + retained log suffix exactly as a daemon would from disk.
+//! expiry sweeps. A killed registrar restarts from its snapshot + retained
+//! log suffix exactly as a daemon would from disk: `on_crash` encodes the
+//! node's [`DurableState`] into a field the crash does not clear. That
+//! image is the bytes a synchronous fsync after every callback would have
+//! left, because callbacks are atomic and a fault pops first among the
+//! events at its instant (DESIGN.md §14), so nothing runs between the last
+//! callback and the crash (DESIGN.md §6).
 //!
 //! Serving discipline (the no-stale-lookup argument, see DESIGN.md §15):
 //! only the **active primary** answers `DiscoverReq`, lookups and lease
@@ -50,7 +53,8 @@ pub struct ReplicatedRegistrarApp {
     cfg: ClusterConfig,
     /// The replication state machine (absent only before `on_start`).
     node: Option<ReplicaNode>,
-    /// The persisted durable blob — survives `on_crash` (it is "disk").
+    /// The disk: the [`DurableState`] image `on_crash` wrote, until the
+    /// restart that reads it. `None` while the process runs.
     persisted: Option<Bytes>,
     /// False while the fault plane holds this node down.
     alive: bool,
@@ -107,8 +111,8 @@ impl ReplicatedRegistrarApp {
         ctx.set_timer(SWEEP_PERIOD, T_SWEEP);
     }
 
-    /// Carry out the effects the replication core requested, then persist
-    /// and mirror the counters into telemetry.
+    /// Carry out the effects the replication core requested, then mirror
+    /// the counters into telemetry.
     fn run_effects(&mut self, ctx: &mut NetCtx<'_>, effects: Vec<Effect>) {
         let mut effects = effects.into_iter().peekable();
         while let Some(e) = effects.next() {
@@ -143,17 +147,7 @@ impl ReplicatedRegistrarApp {
                 }
             }
         }
-        self.persist();
         self.flush_stats(ctx);
-    }
-
-    /// Re-encode the durable fraction (the synchronous "fsync" after every
-    /// state change; cheap at simulation scale, and what makes
-    /// `ProcessKill` recoverable).
-    fn persist(&mut self) {
-        if let Some(n) = &self.node {
-            self.persisted = Some(n.durable().encode());
-        }
     }
 
     /// Mirror `RepStats` deltas into `disc.repl.*` counters.
@@ -280,11 +274,17 @@ impl NetApp for ReplicatedRegistrarApp {
             self.started = true;
             self.node = Some(ReplicaNode::new(me, self.cfg.clone()));
         } else {
-            let restored = match self.persisted.clone().map(DurableState::decode) {
+            // A crash left its image on disk. A restart without one (the
+            // node powered down with state intact, or a live process
+            // restarted) recovers from what its disk would hold now.
+            let image = self
+                .persisted
+                .take()
+                .or_else(|| self.node.as_ref().map(|n| n.durable().encode()));
+            let restored = match image.map(DurableState::decode) {
                 Some(Ok(d)) => ReplicaNode::restore(me, self.cfg.clone(), d),
-                // Power-cycle with state intact keeps the live node; a lost
-                // or corrupt blob means rejoining empty (snapshot install
-                // will refill us).
+                // An image that does not decode keeps the live node, if
+                // any, or rejoins empty (snapshot install will refill us).
                 _ => {
                     let mut n = self.node.take().unwrap_or_else(|| {
                         ReplicaNode::new(me, self.cfg.clone())
@@ -302,7 +302,6 @@ impl NetApp for ReplicatedRegistrarApp {
         // before its first campaign.
         let now = ctx.now();
         self.node.as_mut().unwrap().note_heard(now);
-        self.persist();
         self.arm_timers(ctx);
     }
 
@@ -357,11 +356,15 @@ impl NetApp for ReplicatedRegistrarApp {
         }
     }
 
-    /// The fault plane took this registrar down. Volatile state dies with
-    /// the incarnation; `self.persisted` is the disk and survives.
+    /// The fault plane took this registrar down. Its durable fraction is
+    /// written to `self.persisted`, the disk, as a synchronous write after
+    /// every callback would have left it; volatile state dies with the
+    /// incarnation.
     fn on_crash(&mut self, _ctx: &mut NetCtx<'_>) {
         self.alive = false;
-        self.node = None;
+        if let Some(n) = self.node.take() {
+            self.persisted = Some(n.durable().encode());
+        }
     }
 }
 
@@ -477,5 +480,161 @@ mod tests {
         let old_node = old.replica().unwrap();
         assert!(!old_node.is_active(end), "restored node must not reclaim primacy");
         assert_eq!(old_node.table().len(), 1, "rejoined with the committed lease");
+    }
+
+    /// Registers and withdraws its service at registrar 0 every 150 ms,
+    /// until the primary's flap damper absorbs it.
+    struct Flapper {
+        item: ServiceItem,
+        registered: bool,
+    }
+
+    impl NetApp for Flapper {
+        fn on_start(&mut self, ctx: &mut NetCtx<'_>) {
+            ctx.set_timer(SimDuration::from_millis(150), 0);
+        }
+
+        fn on_timer(&mut self, ctx: &mut NetCtx<'_>, _token: u64) {
+            let msg = if self.registered {
+                Msg::Unregister { id: self.item.id }
+            } else {
+                Msg::Register { item: self.item.clone(), lease_ms: 2_000 }
+            };
+            self.registered = !self.registered;
+            ctx.send(Address::Node(NodeId(0)), msg.encode());
+            ctx.set_timer(SimDuration::from_millis(150), 0);
+        }
+    }
+
+    /// `cluster` with a fold every 2 applied entries, two providers
+    /// renewing 500-ms leases every 250 ms and a flapper.
+    fn loaded_cluster(seed: u64) -> Cluster {
+        let mut net = Network::new(quiet(), MacConfig::default(), seed);
+        let cfg = ClusterConfig {
+            max_lease: SimDuration::from_millis(500),
+            snapshot_every: 2,
+            ..ClusterConfig::of(vec![0, 1, 2])
+        };
+        let pts = [Point::new(0.0, 0.0), Point::new(5.0, 0.0), Point::new(0.0, 5.0)];
+        let regs = pts.map(|p| {
+            net.add_node(
+                NodeConfig::at_on(p, Channel::CH1),
+                Box::new(ReplicatedRegistrarApp::new(cfg.clone())),
+            )
+        });
+        for i in 0..3 {
+            for j in (i + 1)..3 {
+                net.add_wired_link(regs[i], regs[j], SimDuration::from_millis(1), 10_000_000);
+            }
+        }
+        for (id, p) in [(1, Point::new(3.0, 3.0)), (2, Point::new(1.0, 3.0))] {
+            net.add_node(
+                NodeConfig::at_on(p, Channel::CH1),
+                Box::new(ProviderApp::new(projector(id), 500)),
+            );
+        }
+        net.add_node(
+            NodeConfig::at_on(Point::new(3.0, 1.0), Channel::CH1),
+            Box::new(Flapper { item: projector(3), registered: false }),
+        );
+        let client = net.add_node(
+            NodeConfig::at_on(Point::new(2.0, 1.0), Channel::CH1),
+            Box::new(ClientApp::new(Template::of_kind("projector/display")).polling()),
+        );
+        Cluster { net, regs, client }
+    }
+
+    fn registrar(net: &Network, id: NodeId) -> &ReplicatedRegistrarApp {
+        net.app_as::<ReplicatedRegistrarApp>(id).unwrap()
+    }
+
+    fn at(nanos: u64) -> aroma_sim::SimTime {
+        aroma_sim::SimTime::from_nanos(nanos)
+    }
+
+    /// The image `on_crash` writes is the durable state after the last
+    /// callback, which is what a synchronous persist after every callback
+    /// would have left on disk.
+    #[test]
+    fn crash_image_is_the_state_after_the_last_callback() {
+        use aroma_faults::FaultSchedule;
+        const SEED: u64 = 29;
+        const MS: u64 = 1_000_000;
+        // Probe a fault-free run in 1-ms steps. A fault attached for later
+        // leaves the run before it unchanged, so each instant found here
+        // recurs in the faulted run. `(instant, registrar)` pairs where an
+        // appended entry is not yet known committed, or a fold just ran.
+        let (mut appending, mut folded, mut plain) = (Vec::new(), Vec::new(), Vec::new());
+        let mut c = loaded_cluster(SEED);
+        let start = 500 * MS;
+        c.net.run_until(at(start));
+        let folds_of =
+            |net: &Network, id| registrar(net, id).replica().unwrap().stats.snapshots_taken;
+        let mut folds = c.regs.map(|id| folds_of(&c.net, id));
+        for t in (start + MS..4_500 * MS).step_by(MS as usize) {
+            c.net.run_until(at(t));
+            for (r, &id) in c.regs.iter().enumerate() {
+                let node = registrar(&c.net, id).replica().unwrap();
+                if node.stats.snapshots_taken > folds[r] {
+                    folded.push((t, id));
+                } else if node.last_index() > node.commit_index() {
+                    appending.push((t, id));
+                } else if t % (97 * MS) == 0 {
+                    plain.push((t, id));
+                }
+                folds[r] = node.stats.snapshots_taken;
+            }
+        }
+        // `n` instants spread evenly over each kind.
+        let spread = |v: &[(u64, NodeId)], n: usize| -> Vec<(u64, NodeId)> {
+            let n = n.min(v.len());
+            (0..n).map(|i| v[i * v.len() / n]).collect()
+        };
+        let mut kills = spread(&appending, 8);
+        kills.extend(spread(&folded, 8));
+        kills.extend(spread(&plain, 8));
+        assert!(kills.len() >= 20, "{} kill instants", kills.len());
+
+        let (mut mid_append, mut after_fold) = (0, 0);
+        for (t, id) in kills {
+            // Kill 1 ns after the probed instant, restart 700 ms later.
+            let kill = t + 1;
+            let schedule = FaultSchedule::builder(SEED)
+                .process_kill_restart(kill, kill + 700 * MS, id.0)
+                .build();
+            let mut c = loaded_cluster(SEED);
+            c.net.attach_faults(&schedule);
+            c.net.run_until(at(t - MS));
+            let folds = folds_of(&c.net, id);
+            c.net.run_until(at(kill - 1));
+            let node = registrar(&c.net, id).replica().unwrap();
+            mid_append += (node.last_index() > node.commit_index()) as u32;
+            after_fold += (node.stats.snapshots_taken > folds) as u32;
+            let before = node.durable();
+            c.net.run_until(at(kill));
+            let app = registrar(&c.net, id);
+            assert!(app.replica().is_none(), "registrar {} killed at {kill}", id.0);
+            let image = app.persisted.clone().expect("the crash wrote the disk");
+            assert_eq!(DurableState::decode(image).unwrap(), before, "kill at {kill}");
+            c.net.run_until(at(kill + 700 * MS));
+            let app = registrar(&c.net, id);
+            assert_eq!((app.restores, app.persisted.is_none()), (1, true));
+            assert_eq!(app.replica().unwrap().durable(), before, "restart after {kill}");
+        }
+        assert!(mid_append >= 8, "{mid_append} kills during an append");
+        assert!(after_fold >= 8, "{after_fold} kills just after a fold");
+
+        // A power cycle that keeps state drops no callback: the restart
+        // restores from the live node's own durable state.
+        let (down, up) = (1_234_567_891, 1_634_567_893);
+        let schedule = FaultSchedule::builder(SEED).power_cycle(down, up, c.regs[1].0).build();
+        let mut c = loaded_cluster(SEED);
+        c.net.attach_faults(&schedule);
+        c.net.run_until(at(down - 1));
+        let before = registrar(&c.net, c.regs[1]).replica().unwrap().durable();
+        c.net.run_until(at(up));
+        let app = registrar(&c.net, c.regs[1]);
+        assert_eq!((app.restores, app.persisted.is_none()), (1, true));
+        assert_eq!(app.replica().unwrap().durable(), before);
     }
 }

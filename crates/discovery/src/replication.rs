@@ -442,8 +442,9 @@ pub struct RepStats {
 
 /// What a restarted registrar recovers from: the durable fraction of
 /// [`ReplicaNode`] (epoch, folded snapshot, retained log suffix). The I/O
-/// layer persists the [`DurableState::encode`] blob across process kills
-/// — this is the "disk" a real registrar daemon would fsync.
+/// layer writes the [`DurableState::encode`] blob when a process dies and
+/// decodes it at the restart — the "disk" a real registrar daemon would
+/// fsync.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DurableState {
     /// Highest epoch seen.

@@ -9,7 +9,9 @@
 //!   dropped-events counter ([`Snapshot::trace_dropped`]),
 //! * a **metrics registry** — counters, gauges and streaming [`Summary`]
 //!   instruments, each addressed by a static name and registered on first
-//!   touch,
+//!   touch; a name's slot is found by the name's address, so a hot-path
+//!   call neither hashes nor compares its text (two names with equal text
+//!   still share one slot),
 //! * **event-loop self-profiling** — wall-time per handler type, so perf
 //!   work has a baseline ([`Snapshot::profile`], sorted hottest-first).
 //!
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The five layers of the LPC model, used to tag trace events so a snapshot
 /// can be sliced the same way the analysis engine slices issues.
@@ -207,14 +210,76 @@ impl Summary {
     }
 }
 
+/// A static name's identity in the slot index: the address and length of
+/// its text. Equal keys are the same slice, so a hit needs no text
+/// comparison; a prefix slice at the same address has a different length
+/// and so a different key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct NameAddr {
+    ptr: usize,
+    len: usize,
+}
+
+impl NameAddr {
+    fn of(name: &'static str) -> Self {
+        NameAddr {
+            ptr: name.as_ptr() as usize,
+            len: name.len(),
+        }
+    }
+}
+
+impl Hash for NameAddr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // One word: the length lands in the top bits, which user-space
+        // addresses leave clear. Equality still compares both fields.
+        state.write_usize(self.ptr ^ self.len.rotate_right(16));
+    }
+}
+
+/// One multiply per word. The keys are addresses of names compiled into
+/// the program, never input from outside it, so the slot index needs no
+/// protection against crafted collisions.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    /// The product's high half is mixed from every input bit; rotate it
+    /// into the low bits, which pick the bucket.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
 /// Name → slot registry for one instrument kind. Registration order is
 /// first-touch order, which is deterministic for a deterministic run and is
 /// preserved in snapshots.
+///
+/// `index` finds a slot by the name's address ([`NameAddr`]). A name seen
+/// at a new address is looked up by text in `names` once, and its address
+/// is remembered, so every address of one text maps to one slot.
 #[derive(Clone, Debug)]
 struct Slots<T> {
     names: Vec<&'static str>,
     values: Vec<T>,
-    index: HashMap<&'static str, usize>,
+    index: HashMap<NameAddr, usize, BuildHasherDefault<AddrHasher>>,
 }
 
 impl<T> Slots<T> {
@@ -222,24 +287,40 @@ impl<T> Slots<T> {
         Slots {
             names: Vec::new(),
             values: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
         }
     }
 
     /// The slot for `name`, registered with `init` on first touch.
     #[inline]
     fn slot(&mut self, name: &'static str, init: impl FnOnce() -> T) -> &mut T {
-        let i = match self.index.get(name) {
+        let addr = NameAddr::of(name);
+        let i = match self.index.get(&addr) {
             Some(&i) => i,
-            None => {
-                let i = self.values.len();
-                self.names.push(name);
-                self.values.push(init());
-                self.index.insert(name, i);
-                i
-            }
+            None => self.find_or_register(name, addr, init),
         };
         &mut self.values[i]
+    }
+
+    /// First touch of `name` at this address: the slot of an equal text,
+    /// or a new one.
+    #[cold]
+    fn find_or_register(
+        &mut self,
+        name: &'static str,
+        addr: NameAddr,
+        init: impl FnOnce() -> T,
+    ) -> usize {
+        let i = match self.names.iter().position(|&n| n == name) {
+            Some(i) => i,
+            None => {
+                self.names.push(name);
+                self.values.push(init());
+                self.values.len() - 1
+            }
+        };
+        self.index.insert(addr, i);
+        i
     }
 
     /// `(name, value)` pairs in registration order.
@@ -595,6 +676,74 @@ mod tests {
         let mut b = Telemetry::enabled(TelemetryConfig::default());
         b.profile("hot", 999); // different wall time, same deterministic part
         assert!(snap.deterministic_eq(&b.snapshot().unwrap()));
+    }
+
+    static NAME: &str = "disc.repl.appends";
+
+    /// A copy of `NAME` at another address, as a name built at run time
+    /// would be.
+    fn leaked_copy() -> &'static str {
+        let copy: &'static str = String::from(NAME).leak();
+        assert_ne!(copy.as_ptr(), NAME.as_ptr());
+        copy
+    }
+
+    #[test]
+    fn equal_text_shares_a_slot_and_a_prefix_is_its_own_name() {
+        let copy = leaked_copy();
+        // Same address as NAME, shorter length.
+        let prefix: &'static str = &NAME[..9];
+        assert_eq!((prefix.as_ptr(), prefix), (NAME.as_ptr(), "disc.repl"));
+
+        let mut t = Telemetry::enabled(TelemetryConfig::default());
+        t.count(NAME, 1);
+        t.count(copy, 2);
+        t.count(prefix, 4);
+        t.count(NAME, 8);
+        // First touch by the prefix: snapshots list it first.
+        t.gauge(prefix, 3.0);
+        t.gauge(copy, 1.0);
+        t.gauge(NAME, 2.0);
+        t.observe(copy, 1.0);
+        t.observe(NAME, 3.0);
+        t.observe(prefix, 5.0);
+        t.profile(copy, 10);
+        t.profile(NAME, 20);
+        t.profile(prefix, 1);
+        let snap = t.snapshot().unwrap();
+        assert_eq!(snap.counters, vec![(NAME, 11), (prefix, 4)]);
+        assert_eq!(snap.gauges, vec![(prefix, 3.0), (NAME, 2.0)]);
+        let summaries: Vec<_> = snap
+            .summaries
+            .iter()
+            .map(|s| (s.name, s.count, s.mean))
+            .collect();
+        assert_eq!(summaries, vec![(NAME, 2, 2.0), (prefix, 1, 5.0)]);
+        let profile: Vec<_> = snap
+            .profile
+            .iter()
+            .map(|h| (h.name, h.calls, h.total_nanos))
+            .collect();
+        assert_eq!(profile, vec![(NAME, 2, 30), (prefix, 1, 1)]);
+    }
+
+    #[test]
+    fn alternating_a_name_with_its_copy_is_deterministic_eq_to_the_name_alone() {
+        let copy = leaked_copy();
+        let mut alternating = Telemetry::enabled(TelemetryConfig::default());
+        let mut literal = Telemetry::enabled(TelemetryConfig::default());
+        for i in 0..6u64 {
+            let name = if i % 2 == 0 { NAME } else { copy };
+            alternating.count(name, i);
+            alternating.gauge(name, i as f64);
+            alternating.observe(name, i as f64);
+            literal.count(NAME, i);
+            literal.gauge(NAME, i as f64);
+            literal.observe(NAME, i as f64);
+        }
+        let (a, b) = (alternating.snapshot().unwrap(), literal.snapshot().unwrap());
+        assert!(a.deterministic_eq(&b));
+        assert_eq!(a.counters, vec![(NAME, 15)]);
     }
 
     #[test]

@@ -17,12 +17,14 @@
 # determinism gate: zero unwaived nondet-order or sim-purity findings
 # across the workspace, every waiver carrying a reason (DESIGN.md §14), and
 # the end-to-end benchmark's own tests plus one short traced run of each of
-# its workloads (e2ebench/README.md), and the exactness gates: `repro all`
-# must print the committed repro_full_output.txt byte for byte, and every
-# pass digest of the benchmark's workloads (seeds 233, 4242 and 977, traced
-# and untraced) must equal scripts/e2e-digests/expected.txt, so an
-# optimization that claims to leave the simulated output unchanged
-# (DESIGN.md §6) is held to it.
+# its workloads (e2ebench/README.md), a profiler smoke (the sampler of
+# scripts/profile/ must attribute most of a 1-s `chaos` run to the
+# network's event loop; EXPERIMENTS.md §Profiling), and the exactness
+# gates: `repro all` must print the committed repro_full_output.txt byte
+# for byte, and every pass digest of the benchmark's workloads (seeds 233,
+# 4242 and 977, traced and untraced) must equal
+# scripts/e2e-digests/expected.txt, so an optimization that claims to
+# leave the simulated output unchanged (DESIGN.md §6) is held to it.
 # Run from the repository root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -120,6 +122,13 @@ for workload in building chaos; do
     --workload "$workload" --seed 233 --seconds 1 --trace 1) \
     || { printf '%s\n' "$e2e_out"; echo "FAIL: e2ebench $workload run failed its checks"; exit 1; }
 done
+
+# Profiler smoke: the sampler builds and loads, a 1-s `chaos` run yields
+# samples, and they symbolize into the simulator's own frames, with the
+# event loop on the stack of most of them.
+scripts/profile/profile.sh --top 5 --require Network::run_until:50 -- \
+  e2ebench/target/release/lpc-e2ebench --workload chaos --seed 233 --seconds 1 --trace 0 \
+  || { echo "FAIL: profiler smoke: Network::run_until not above 50% inclusive"; exit 1; }
 
 # Digest gate: the pass digest of each benchmark workload at each pinned
 # seed, traced and untraced, equals the committed expected.txt. The digest
