@@ -54,12 +54,12 @@ use aroma_env::radio::{Channel, RadioEnvironment};
 use aroma_env::space::Point;
 use aroma_sim::faults::{FaultOp, FaultSchedule};
 use aroma_sim::stats::Summary;
-use aroma_sim::telemetry::{Layer, Snapshot, Telemetry, TelemetryConfig};
+use aroma_sim::telemetry::{HandlerStat, Layer, Snapshot, Telemetry, TelemetryConfig};
 use aroma_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use bytes::Bytes;
 use std::any::Any;
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Static configuration of one node.
 #[derive(Clone, Debug)]
@@ -413,35 +413,143 @@ enum Event {
     },
 }
 
+/// Event kinds by [`Event::kind`]: the handler names of the event loop's
+/// self-profile, in same-instant rank order.
+const KIND_NAMES: [&str; 7] = [
+    "Fault",
+    "MobilityTick",
+    "TxEnd",
+    "AckTimeout",
+    "WiredDeliver",
+    "AppTimer",
+    "MacTick",
+];
+
 impl Event {
-    /// Static handler label for event-loop self-profiling.
-    fn kind_name(&self) -> &'static str {
+    /// The kind's same-instant rank, which also indexes [`KIND_NAMES`].
+    /// Faults land first and mobility moves nodes next, then frames end;
+    /// MAC ticks go last.
+    fn kind(&self) -> usize {
         match self {
-            Event::MacTick { .. } => "MacTick",
-            Event::TxEnd { .. } => "TxEnd",
-            Event::AckTimeout { .. } => "AckTimeout",
-            Event::AppTimer { .. } => "AppTimer",
-            Event::MobilityTick { .. } => "MobilityTick",
-            Event::WiredDeliver { .. } => "WiredDeliver",
-            Event::Fault { .. } => "Fault",
+            Event::Fault { .. } => 0,
+            Event::MobilityTick { .. } => 1,
+            Event::TxEnd { .. } => 2,
+            Event::AckTimeout { .. } => 3,
+            Event::WiredDeliver { .. } => 4,
+            Event::AppTimer { .. } => 5,
+            Event::MacTick { .. } => 6,
         }
     }
 
-    /// Same-instant order (DESIGN.md §14): kind rank in the top byte, then
-    /// the id the event concerns. Faults land first and mobility moves
-    /// nodes next, then frames end; MAC ticks go last, in node-id order.
+    /// Same-instant order (DESIGN.md §14): the kind's rank in the top
+    /// byte, then the id the event concerns, so MAC ticks run in node-id
+    /// order.
     fn tie_key(&self) -> u64 {
-        let (rank, id) = match self {
-            Event::Fault { index } => (0, u64::from(*index)),
-            Event::MobilityTick { node } => (1, node.key()),
-            Event::TxEnd { tx } => (2, tx.0),
-            Event::AckTimeout { node, .. } => (3, node.key()),
-            Event::WiredDeliver { to, .. } => (4, to.key()),
-            Event::AppTimer { node, .. } => (5, node.key()),
-            Event::MacTick { node, .. } => (6, node.key()),
+        let id = match self {
+            Event::Fault { index } => u64::from(*index),
+            Event::TxEnd { tx } => tx.0,
+            Event::WiredDeliver { to, .. } => to.key(),
+            Event::MobilityTick { node }
+            | Event::AckTimeout { node, .. }
+            | Event::AppTimer { node, .. }
+            | Event::MacTick { node, .. } => node.key(),
         };
         debug_assert!(id < 1 << 56, "tie id {id} overflows its field");
-        rank << 56 | id
+        (self.kind() as u64) << 56 | id
+    }
+}
+
+/// One event in this many is timed by the event loop's self-profile.
+const PROFILE_STRIDE: u32 = 32;
+
+/// The event loop's self-profile (DESIGN.md §10), kept while the recorder
+/// is on. Every event is counted by kind and the loop's own wall time is
+/// summed over every run; one event in [`PROFILE_STRIDE`], picked by a
+/// countdown over all events, is timed twice: its pop, and its handler
+/// with the app callbacks it caused. [`LoopProfile::handlers`] splits the
+/// loop's time among the kinds from those samples.
+struct LoopProfile {
+    /// Events dispatched, by kind.
+    calls: [u64; KIND_NAMES.len()],
+    /// Timed events, by kind.
+    samples: [u64; KIND_NAMES.len()],
+    /// Handler nanos of the timed events, by kind.
+    sampled_nanos: [u64; KIND_NAMES.len()],
+    /// Pop nanos of the timed events.
+    pop_nanos: u64,
+    /// Wall nanos inside the loop, every run summed.
+    loop_nanos: u64,
+    /// Events left until the next timed one, this one included.
+    countdown: u32,
+    /// Test-only reference: time every event. Set it after
+    /// [`Network::attach_telemetry`], which starts a new profile.
+    #[cfg(test)]
+    every_event: bool,
+}
+
+impl LoopProfile {
+    fn new() -> Self {
+        LoopProfile {
+            calls: [0; KIND_NAMES.len()],
+            samples: [0; KIND_NAMES.len()],
+            sampled_nanos: [0; KIND_NAMES.len()],
+            pop_nanos: 0,
+            loop_nanos: 0,
+            countdown: PROFILE_STRIDE,
+            #[cfg(test)]
+            every_event: false,
+        }
+    }
+
+    /// Count one event down; `true` when it is the one to time. The first
+    /// events a network runs are cold (link rows filled, buffers grown), so
+    /// the first timed one is the stride's last, not its first.
+    #[inline]
+    fn sample_due(&mut self) -> bool {
+        #[cfg(test)]
+        if self.every_event {
+            return true;
+        }
+        self.countdown -= 1;
+        if self.countdown > 0 {
+            return false;
+        }
+        self.countdown = PROFILE_STRIDE;
+        true
+    }
+
+    /// Record a timed event of `kind`.
+    fn record(&mut self, kind: usize, pop: Duration, handler: Duration) {
+        self.calls[kind] += 1;
+        self.samples[kind] += 1;
+        self.sampled_nanos[kind] += handler.as_nanos() as u64;
+        self.pop_nanos += pop.as_nanos() as u64;
+    }
+
+    /// One entry per kind that ran, hottest first once sorted. Each kind's
+    /// sampled mean times its exact count, and the pops' the same way, are
+    /// scaled to sum to the loop's measured time: a timed event runs
+    /// slower than the same event untimed, and scaling takes that out. The
+    /// pops' share stays out of the entries, in the loop's own time. A
+    /// kind that was never timed reads 0 ns.
+    fn handlers(&self) -> impl Iterator<Item = HandlerStat> + '_ {
+        let mean = |nanos: u64, n: u64| if n == 0 { 0.0 } else { nanos as f64 / n as f64 };
+        let estimate: [f64; KIND_NAMES.len()] = std::array::from_fn(|k| {
+            mean(self.sampled_nanos[k], self.samples[k]) * self.calls[k] as f64
+        });
+        let events: u64 = self.calls.iter().sum();
+        let pops = mean(self.pop_nanos, self.samples.iter().sum()) * events as f64;
+        let sum = estimate.iter().sum::<f64>() + pops;
+        let scale = if sum > 0.0 {
+            self.loop_nanos as f64 / sum
+        } else {
+            0.0
+        };
+        (0..KIND_NAMES.len())
+            .filter(|&k| self.calls[k] > 0)
+            .map(move |k| {
+                HandlerStat::new(KIND_NAMES[k], self.calls[k], (estimate[k] * scale) as u64)
+            })
     }
 }
 
@@ -531,6 +639,8 @@ struct Core {
     prefer_wired: bool,
     /// Telemetry recorder (Off by default; every call inlines to a no-op).
     rec: Telemetry,
+    /// The event loop's self-profile; untouched while `rec` is off.
+    profile: LoopProfile,
     /// Fault-injection plane; `None` unless a schedule was attached.
     faults: Option<FaultPlane>,
 }
@@ -1350,6 +1460,7 @@ impl Network {
                 wired_index: HashMap::new(),
                 prefer_wired: false,
                 rec: Telemetry::Off,
+                profile: LoopProfile::new(),
                 faults: None,
             },
             apps: Vec::new(),
@@ -1421,9 +1532,12 @@ impl Network {
 
     /// Attach a live telemetry recorder. MAC state transitions, retry/drop
     /// causes and service times are recorded from here on, and the event
-    /// loop starts charging wall time per handler type.
+    /// loop starts a new self-profile: it counts every later event by kind,
+    /// times its own runs, and estimates each kind's share of that time
+    /// from one event in 32 (DESIGN.md §10).
     pub fn attach_telemetry(&mut self, cfg: TelemetryConfig) {
         self.core.rec = Telemetry::enabled(cfg);
+        self.core.profile = LoopProfile::new();
     }
 
     /// The recorder (for direct recording).
@@ -1470,9 +1584,12 @@ impl Network {
         self.core.nodes[node.0 as usize].up
     }
 
-    /// Snapshot the recorder; `None` when telemetry was never attached.
+    /// Snapshot the recorder, with one profile entry per event kind that
+    /// ran; `None` when telemetry was never attached.
     pub fn telemetry_snapshot(&self) -> Option<Snapshot> {
-        self.core.rec.snapshot()
+        let mut snap = self.core.rec.snapshot()?;
+        snap.extend_profile(self.core.profile.handlers());
+        Some(snap)
     }
 
     /// Borrow an application back as its concrete type (for post-run
@@ -1561,37 +1678,65 @@ impl Network {
     /// Run the simulation until `deadline` (events at exactly `deadline`
     /// are processed).
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.start();
-        loop {
-            match self.core.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    let (_, ev) = self.core.queue.pop().expect("peeked event vanished");
-                    self.dispatch(ev);
-                }
-                _ => break,
-            }
-        }
+        self.run_events(deadline);
         self.core.queue.fast_forward(deadline);
     }
 
-    /// Handle one event plus the app callbacks it generated, charging wall
-    /// time to the event's handler type when telemetry is live. Wall time is
-    /// profile-only and never feeds back into the simulation, so traced runs
-    /// stay deterministic.
-    fn dispatch(&mut self, ev: Event) {
-        if self.core.rec.is_on() {
-            let kind = ev.kind_name();
-            // lint:allow(sim-wall-clock): self-profiling only — the nanos feed Snapshot's profile section, which deterministic_eq excludes (pinned by traced_profile_never_reaches_deterministic_sections)
-            let t0 = Instant::now();
-            self.core.handle(ev);
-            self.drain_app_calls();
-            self.core
-                .rec
-                .profile(kind, t0.elapsed().as_nanos() as u64);
-        } else {
-            self.core.handle(ev);
-            self.drain_app_calls();
+    /// Pop and dispatch every event due by `deadline`. While the recorder
+    /// is on the loop profiles itself ([`LoopProfile`]): it counts every
+    /// event, reads the wall clock on entry and exit, and three times
+    /// around each timed event. Wall time is profile-only and never feeds
+    /// back into the simulation, so traced runs stay deterministic.
+    fn run_events(&mut self, deadline: SimTime) {
+        self.start();
+        // Recorder off: the plain loop. Folded into the profiled loop behind
+        // a flag, it copied each event through the stack twice more and ran
+        // the telemetry bench's density run 12–18% slower.
+        if !self.core.rec.is_on() {
+            while let Some(ev) = self.pop_due(deadline) {
+                self.dispatch(ev);
+            }
+            return;
         }
+        // lint:allow(sim-wall-clock): the loop's total feeds only Snapshot's profile section, which deterministic_eq excludes (pinned by traced_profile_never_reaches_deterministic_sections)
+        let entered = Instant::now();
+        while self.core.queue.peek_time().is_some_and(|t| t <= deadline) {
+            if self.core.profile.sample_due() {
+                self.dispatch_timed();
+            } else if let Some(ev) = self.pop_due(deadline) {
+                let kind = ev.kind();
+                self.dispatch(ev);
+                self.core.profile.calls[kind] += 1;
+            }
+        }
+        self.core.profile.loop_nanos += entered.elapsed().as_nanos() as u64;
+    }
+
+    /// The next event, popped, when one is due by `deadline`.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<Event> {
+        if self.core.queue.peek_time()? > deadline {
+            return None;
+        }
+        self.core.queue.pop().map(|(_, ev)| ev)
+    }
+
+    /// Pop and dispatch the next event, timing its pop and its handler.
+    fn dispatch_timed(&mut self) {
+        // lint:allow(sim-wall-clock): a sampled pop's start, profile-only like the loop's total (pinned by traced_profile_never_reaches_deterministic_sections)
+        let start = Instant::now();
+        let (_, ev) = self.core.queue.pop().expect("peeked event vanished");
+        // lint:allow(sim-wall-clock): a sampled handler's start, profile-only like the loop's total (pinned by traced_profile_never_reaches_deterministic_sections)
+        let popped = Instant::now();
+        let kind = ev.kind();
+        self.dispatch(ev);
+        let handler = popped.elapsed();
+        self.core.profile.record(kind, popped - start, handler);
+    }
+
+    /// Handle one event plus the app callbacks it generated.
+    fn dispatch(&mut self, ev: Event) {
+        self.core.handle(ev);
+        self.drain_app_calls();
     }
 
     /// Run for a span from the current time.
@@ -1602,14 +1747,7 @@ impl Network {
 
     /// Run until the event queue is exhausted (careful with periodic apps).
     pub fn run_to_quiescence(&mut self, hard_deadline: SimTime) {
-        self.start();
-        while let Some(t) = self.core.queue.peek_time() {
-            if t > hard_deadline {
-                break;
-            }
-            let (_, ev) = self.core.queue.pop().expect("peeked event vanished");
-            self.dispatch(ev);
-        }
+        self.run_events(hard_deadline);
     }
 }
 

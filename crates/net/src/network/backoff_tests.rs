@@ -1,10 +1,12 @@
 //! The event-driven backoff countdown against the per-slot loop it
-//! replaced, and the link table against the direct computation it
-//! replaced. `Core::per_slot` replays that loop: it also ticks every
-//! counting node at each of its slot boundaries, so every tick folds in no
-//! skipped slot. With it off, only a countdown's end and its wakes tick.
+//! replaced, the link table against the direct computation it replaced,
+//! and the event loop's sampled self-profile against timing every event.
+//! `Core::per_slot` replays that loop: it also ticks every counting node
+//! at each of its slot boundaries, so every tick folds in no skipped slot.
+//! With it off, only a countdown's end and its wakes tick.
 //! `LinkTable::direct` computes every link's path loss afresh at every
-//! query. Each reference must simulate the same run, event for event.
+//! query, and `LoopProfile::every_event` times every event. Each reference
+//! must simulate the same run, event for event.
 
 use super::*;
 use crate::traffic::{CountingSink, PoissonSource, SaturatedSource};
@@ -13,6 +15,9 @@ use aroma_sim::faults::{random_storm, StormConfig};
 
 /// Random worlds the differential test runs, each in both modes.
 const WORLDS: u64 = 100;
+
+/// Every random world runs until this instant.
+const HORIZON: SimTime = SimTime::from_nanos(300_000_000);
 
 /// Everything a run must reproduce: the MAC trace and every metric, the
 /// traffic counters and the fault plane's counters.
@@ -56,13 +61,21 @@ fn assert_same(fast: &Run, slow: &Run, what: &str) {
     );
 }
 
-/// Random world `seed`: 3–24 nodes on channels 1/3/6/8/11 in a 120 × 60 m
-/// hall (so some are hidden from each other) with 0–3 walls, with or
-/// without shadowing; sinks and unicast, broadcast and saturated sources;
-/// about a third of the nodes walk, re-sampled every 2 to 250 slots; half
-/// the worlds get a fault storm; and the default, a 9-µs-slot or a
-/// small-CW MAC timing. `reference` switches a reference mode on.
+/// Random world `seed`, run to [`HORIZON`].
 fn random_world(seed: u64, reference: fn(&mut Core)) -> Run {
+    let mut net = build_world(seed, reference);
+    net.run_until(HORIZON);
+    finish(&net)
+}
+
+/// Random world `seed`, traced and not yet run: 3–24 nodes on channels
+/// 1/3/6/8/11 in a 120 × 60 m hall (so some are hidden from each other)
+/// with 0–3 walls, with or without shadowing; sinks and unicast, broadcast
+/// and saturated sources; about a third of the nodes walk, re-sampled every
+/// 2 to 250 slots; half the worlds get a fault storm; and the default, a
+/// 9-µs-slot or a small-CW MAC timing. `reference` switches a reference
+/// mode on.
+fn build_world(seed: u64, reference: fn(&mut Core)) -> Network {
     let mut rng = SimRng::new(seed);
     let cfg = match rng.below(3) {
         0 => MacConfig::default(),
@@ -93,13 +106,12 @@ fn random_world(seed: u64, reference: fn(&mut Core)) -> Run {
     };
     let mut net = traced(env, cfg, seed, false);
     reference(&mut net.core);
-    let horizon = SimTime::from_nanos(300_000_000);
     let n = 3 + rng.below(22) as u32;
     for i in 0..n {
         let channel = Channel::new([1, 3, 6, 8, 11][rng.below(5) as usize]);
         let mut nc = NodeConfig::at_on(place(&mut rng), channel);
         if rng.chance(0.3) {
-            let start = SimTime::from_nanos(rng.below(horizon.as_nanos()));
+            let start = SimTime::from_nanos(rng.below(HORIZON.as_nanos()));
             let walk = SimDuration::from_micros(100 + rng.below(40_000));
             let mut path = MobilityPath::line(nc.pos, place(&mut rng), start, walk);
             path.update_period = cfg.slot * (2 + rng.below(249));
@@ -131,10 +143,9 @@ fn random_world(seed: u64, reference: fn(&mut Core)) -> Run {
             max_len: SimDuration::from_millis(30),
             ..StormConfig::default()
         };
-        net.attach_faults(&random_storm(&mut rng, horizon, n, &storm));
+        net.attach_faults(&random_storm(&mut rng, HORIZON, n, &storm));
     }
-    net.run_until(horizon);
-    finish(&net)
+    net
 }
 
 #[test]
@@ -161,6 +172,129 @@ fn link_table_matches_the_direct_computation() {
         let direct = random_world(seed, |core| core.links.direct = true);
         assert_same(&table, &direct, &format!("world {seed}"));
     }
+}
+
+/// Each event kind's `(name, calls)`, by name.
+fn calls(run: &Run) -> Vec<(&'static str, u64)> {
+    let mut calls: Vec<_> = run
+        .snapshot
+        .profile
+        .iter()
+        .map(|h| (h.name, h.calls))
+        .collect();
+    calls.sort();
+    calls
+}
+
+/// `net.run_until(until)`, and the host nanoseconds it took.
+fn timed_run(net: &mut Network, until: SimTime) -> u64 {
+    // lint:allow(sim-wall-clock): the bound the profile is checked against; no simulated output reads it
+    let start = std::time::Instant::now();
+    net.run_until(until);
+    start.elapsed().as_nanos() as u64
+}
+
+#[test]
+fn sampled_profile_counts_every_event_and_stays_within_the_run() {
+    for seed in 0..WORLDS {
+        let mut net = build_world(seed, |_| {});
+        let wall = timed_run(&mut net, HORIZON);
+        let sampled = finish(&net);
+        let every = random_world(seed, |core| core.profile.every_event = true);
+        let what = format!("world {seed}");
+        assert_same(&sampled, &every, &what);
+        assert_eq!(
+            calls(&sampled),
+            calls(&every),
+            "{what}: event counts differ"
+        );
+        let total: u64 = sampled.snapshot.profile.iter().map(|h| h.total_nanos).sum();
+        assert!(
+            total <= wall,
+            "{what}: handlers estimated at {total} ns of a {wall}-ns run"
+        );
+        for h in &sampled.snapshot.profile {
+            assert!(h.mean_nanos.is_finite(), "{what}: {h:?}");
+        }
+    }
+}
+
+#[test]
+fn attaching_telemetry_mid_run_counts_only_later_events() {
+    let mid = SimTime::from_nanos(HORIZON.as_nanos() / 3);
+    for seed in 0..10 {
+        let mut whole = build_world(seed, |_| {});
+        whole.run_until(mid);
+        let before = calls(&finish(&whole));
+        whole.run_until(HORIZON);
+        let both = finish(&whole);
+
+        let mut late = build_world(seed, |_| {});
+        late.run_until(mid);
+        late.attach_telemetry(TelemetryConfig::default());
+        let wall = timed_run(&mut late, HORIZON);
+        let after = finish(&late);
+
+        let earlier = |name| before.iter().find(|b| b.0 == name).map_or(0, |b| b.1);
+        let expected: Vec<_> = calls(&both)
+            .into_iter()
+            .map(|(name, n)| (name, n - earlier(name)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        assert_eq!(calls(&after), expected, "world {seed}");
+        let total: u64 = after.snapshot.profile.iter().map(|h| h.total_nanos).sum();
+        assert!(total <= wall, "world {seed}: {total} ns of a {wall}-ns run");
+    }
+}
+
+#[test]
+fn a_run_too_short_to_sample_reads_zero_nanos() {
+    let mut net = traced(quiet(), MacConfig::default(), 7, false);
+    net.add_node(NodeConfig::at(Point::new(0.0, 0.0)), Box::new(OneBroadcast));
+    net.add_node(
+        NodeConfig::at(Point::new(5.0, 0.0)),
+        Box::new(CountingSink::default()),
+    );
+    net.run_until(SimTime::from_nanos(5_000_000));
+    let run = finish(&net);
+    let events: u64 = run.snapshot.profile.iter().map(|h| h.calls).sum();
+    assert!(
+        events > 0 && events < u64::from(PROFILE_STRIDE),
+        "{events} events"
+    );
+    for h in &run.snapshot.profile {
+        assert_eq!((h.total_nanos, h.mean_nanos), (0, 0.0), "{h:?}");
+    }
+}
+
+#[test]
+fn handlers_split_the_loop_by_sampled_means_and_leave_the_pops_out() {
+    let kind = |name| KIND_NAMES.iter().position(|&n| n == name).unwrap();
+    let (fault, tx_end, mac_tick) = (kind("Fault"), kind("TxEnd"), kind("MacTick"));
+    let mut profile = LoopProfile::new();
+    profile.calls[tx_end] = 10;
+    profile.calls[mac_tick] = 28;
+    profile.calls[fault] = 2; // never timed
+    profile.samples[tx_end] = 1;
+    profile.sampled_nanos[tx_end] = 40;
+    profile.samples[mac_tick] = 1;
+    profile.sampled_nanos[mac_tick] = 10;
+    // Pops average 2.5 ns: 100 ns over 40 events. The estimates sum to
+    // 400 + 280 + 100 = 780 ns, half the loop's measured 1,560.
+    profile.pop_nanos = 5;
+    profile.loop_nanos = 1_560;
+    let entries: Vec<_> = profile
+        .handlers()
+        .map(|h| (h.name, h.calls, h.total_nanos, h.mean_nanos))
+        .collect();
+    assert_eq!(
+        entries,
+        vec![
+            ("Fault", 2, 0, 0.0),
+            ("TxEnd", 10, 800, 80.0),
+            ("MacTick", 28, 560, 20.0),
+        ]
+    );
 }
 
 /// Broadcasts one frame from `on_start` (and again after a restart).

@@ -12,8 +12,13 @@
 //!   touch; a name's slot is found by the name's address, so a hot-path
 //!   call neither hashes nor compares its text (two names with equal text
 //!   still share one slot),
-//! * **event-loop self-profiling** — wall-time per handler type, so perf
-//!   work has a baseline ([`Snapshot::profile`], sorted hottest-first).
+//! * **self-profiling** — wall time per handler type, so perf work has a
+//!   baseline ([`Snapshot::profile`], sorted hottest first). A rare stage
+//!   (the VNC render, encode and chunk) charges each call with
+//!   [`Telemetry::profile`]. The network's event loop, which runs every
+//!   event, counts each event exactly, times its whole run and one event
+//!   in 32, and adds the per-kind split it estimates from that sample to
+//!   its snapshot with [`Snapshot::extend_profile`].
 //!
 //! Disabled mode is the [`Telemetry::Off`] enum variant: every recording
 //! method is `#[inline]` and hits a no-op match arm, so an uninstrumented
@@ -488,12 +493,35 @@ pub struct SummarySnap {
 pub struct HandlerStat {
     /// Handler name (event kind).
     pub name: &'static str,
-    /// Invocations.
+    /// Invocations; exact for every entry.
     pub calls: u64,
-    /// Total wall-clock nanoseconds across invocations.
+    /// Total wall-clock nanoseconds across invocations. Measured for a
+    /// stage charged with [`Telemetry::profile`]; an estimate for the
+    /// network's event kinds (`MacTick`, `TxEnd`, …): the kind's sampled
+    /// mean times its exact `calls`, scaled so that the kinds and the
+    /// queue pops sum to the event loop's measured wall time.
     pub total_nanos: u64,
-    /// Mean wall-clock nanoseconds per invocation.
+    /// Mean wall-clock nanoseconds per invocation, `total_nanos / calls`:
+    /// an estimate wherever `total_nanos` is one, and 0 (never NaN) for a
+    /// handler that ran but was never timed.
     pub mean_nanos: f64,
+}
+
+impl HandlerStat {
+    /// `calls` invocations that took `total_nanos` between them; the mean
+    /// is 0 when there were none.
+    pub fn new(name: &'static str, calls: u64, total_nanos: u64) -> Self {
+        HandlerStat {
+            name,
+            calls,
+            total_nanos,
+            mean_nanos: if calls == 0 {
+                0.0
+            } else {
+                total_nanos as f64 / calls as f64
+            },
+        }
+    }
 }
 
 /// Immutable snapshot of a recorder: the trace ring, every metric and the
@@ -528,29 +556,28 @@ impl Snapshot {
                 max: s.max(),
             })
             .collect();
-        let mut profile: Vec<HandlerStat> = act
-            .profile
-            .iter()
-            .map(|(name, &(calls, nanos))| HandlerStat {
-                name,
-                calls,
-                total_nanos: nanos,
-                mean_nanos: if calls == 0 {
-                    0.0
-                } else {
-                    nanos as f64 / calls as f64
-                },
-            })
-            .collect();
-        profile.sort_by(|a, b| b.total_nanos.cmp(&a.total_nanos).then(a.name.cmp(b.name)));
-        Snapshot {
+        let mut snap = Snapshot {
             counters: act.counters.iter().map(|(n, &v)| (n, v)).collect(),
             gauges: act.gauges.iter().map(|(n, &v)| (n, v)).collect(),
             summaries,
             trace: act.ring.in_order(),
             trace_dropped: act.ring.dropped,
-            profile,
-        }
+            profile: Vec::new(),
+        };
+        snap.extend_profile(
+            act.profile
+                .iter()
+                .map(|(name, &(calls, nanos))| HandlerStat::new(name, calls, nanos)),
+        );
+        snap
+    }
+
+    /// Add handler entries to the profile, which stays sorted hottest
+    /// first (ties by name).
+    pub fn extend_profile(&mut self, entries: impl IntoIterator<Item = HandlerStat>) {
+        self.profile.extend(entries);
+        self.profile
+            .sort_by(|a, b| b.total_nanos.cmp(&a.total_nanos).then(a.name.cmp(b.name)));
     }
 
     /// Value of a counter, 0 when never registered.
@@ -594,9 +621,7 @@ impl Snapshot {
         // which is deterministic because absorb order is code-defined.
         self.trace.sort_by_key(|ev| ev.t_nanos);
         self.trace_dropped += other.trace_dropped;
-        self.profile.extend(other.profile);
-        self.profile
-            .sort_by(|a, b| b.total_nanos.cmp(&a.total_nanos).then(a.name.cmp(b.name)));
+        self.extend_profile(other.profile);
     }
 }
 
@@ -676,6 +701,32 @@ mod tests {
         let mut b = Telemetry::enabled(TelemetryConfig::default());
         b.profile("hot", 999); // different wall time, same deterministic part
         assert!(snap.deterministic_eq(&b.snapshot().unwrap()));
+    }
+
+    #[test]
+    fn extended_profile_stays_hottest_first_and_a_call_free_mean_is_zero() {
+        let mut t = Telemetry::enabled(TelemetryConfig::default());
+        t.profile("vnc.render", 50);
+        let mut snap = t.snapshot().unwrap();
+        snap.extend_profile([
+            HandlerStat::new("TxEnd", 4, 100),
+            HandlerStat::new("Fault", 1, 0),
+            HandlerStat::new("idle", 0, 0),
+        ]);
+        let profile: Vec<_> = snap
+            .profile
+            .iter()
+            .map(|h| (h.name, h.calls, h.total_nanos, h.mean_nanos))
+            .collect();
+        assert_eq!(
+            profile,
+            vec![
+                ("TxEnd", 4, 100, 25.0),
+                ("vnc.render", 1, 50, 50.0),
+                ("Fault", 1, 0, 0.0),
+                ("idle", 0, 0, 0.0),
+            ]
+        );
     }
 
     static NAME: &str = "disc.repl.appends";

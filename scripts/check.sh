@@ -17,7 +17,8 @@
 # determinism gate: zero unwaived nondet-order or sim-purity findings
 # across the workspace, every waiver carrying a reason (DESIGN.md §14), and
 # the end-to-end benchmark's own tests plus one short traced run of each of
-# its workloads (e2ebench/README.md), a profiler smoke (the sampler of
+# its workloads (e2ebench/README.md), whose per-layer `sim.busy_s` and
+# `net.busy_s` must be above 0, a profiler smoke (the sampler of
 # scripts/profile/ must attribute most of a 1-s `chaos` run to the
 # network's event loop; EXPERIMENTS.md §Profiling), and the exactness
 # gates: `repro all` must print the committed repro_full_output.txt byte
@@ -65,6 +66,9 @@ printf '%s\n' "$seq_out" | grep -q 'replication protocol'
 # fails the gate on output that is actually correct.
 e2_out=$(cargo run --release -p lpc-bench --bin repro -- --quick --metrics e2)
 grep -q '"net.mac.tx_attempts"' <<<"$e2_out"
+# The event loop's sampled self-profile still names the MAC's tick handler.
+grep -q '"handler":"MacTick"' <<<"$e2_out" \
+  || { echo "FAIL: repro --metrics e2 lists no MacTick handler profile entry"; exit 1; }
 e9_out=$(cargo run --release -p lpc-bench --bin repro -- --experiment e9 --seed 233)
 grep -q 'chaos recovery: all layers within deadline' <<<"$e9_out"
 # Registrar-churn gate: the replicated cluster must have served zero
@@ -116,11 +120,22 @@ grep -q '"files_scanned"' <<<"$lint_json"
 # End-to-end benchmark gate: the e2ebench package's tests, then one short
 # traced run per workload. A run exits 1 when a correctness check fails or
 # two passes of the seed (traced or untraced) disagree on their digest.
+# Per-layer coherence: the run's last (JSON) line must report the loop's
+# own time (`sim.busy_s`, run span minus dispatch) and the network's
+# (`net.busy_s`) above 0, which is where a dispatch estimate that
+# overshoots the run span shows.
 cargo test --release --manifest-path e2ebench/Cargo.toml
 for workload in building chaos; do
   e2e_out=$(cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
     --workload "$workload" --seed 233 --seconds 1 --trace 1) \
     || { printf '%s\n' "$e2e_out"; echo "FAIL: e2ebench $workload run failed its checks"; exit 1; }
+  tail -n 1 <<<"$e2e_out" | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+zero = [m for m in ("sim.busy_s", "net.busy_s") if not metrics[m]["value"] > 0]
+if zero:
+    sys.exit("FAIL: e2ebench %s reports %s at 0" % (sys.argv[1], " and ".join(zero)))
+' "$workload"
 done
 
 # Profiler smoke: the sampler builds and loads, a 1-s `chaos` run yields
