@@ -6,60 +6,44 @@
 //! absent recorder (the network always carries the enum field), the "off"
 //! group is the baseline, and the enabled groups show what turning the
 //! instruments on actually costs.
+//!
+//! Every iteration, the calibrating one included, runs the same fixed
+//! set of seeds, so two runs of the bench (or of two builds) average the
+//! same simulations whatever iteration count the budget allows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lpc_bench::scenarios::{run_density, run_density_traced, secs, ChannelPlan};
+use lpc_bench::scenarios::{run_density_traced, secs, ChannelPlan};
 use aroma_net::RateAdaptation;
 use aroma_sim::telemetry::TelemetryConfig;
 use std::hint::black_box;
 
+/// The seeds one iteration runs.
+const SEEDS: [u64; 4] = [1, 2, 3, 4];
+
 fn bench_telemetry(c: &mut Criterion) {
     let mut g = c.benchmark_group("telemetry");
     g.sample_size(10);
-    g.bench_function("density_8_pairs_recorder_off", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(run_density(
-                8,
-                ChannelPlan::AllCochannel,
-                RateAdaptation::SnrBased,
-                1000,
-                secs(1),
-                seed,
-            ))
-        })
-    });
-    g.bench_function("density_8_pairs_metrics_only", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(run_density_traced(
-                8,
-                ChannelPlan::AllCochannel,
-                RateAdaptation::SnrBased,
-                1000,
-                secs(1),
-                seed,
-                Some(TelemetryConfig::metrics_only()),
-            ))
-        })
-    });
-    g.bench_function("density_8_pairs_full_trace", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(run_density_traced(
-                8,
-                ChannelPlan::AllCochannel,
-                RateAdaptation::SnrBased,
-                1000,
-                secs(1),
-                seed,
-                Some(TelemetryConfig::default()),
-            ))
-        })
-    });
+    for (name, config) in [
+        ("density_8_pairs_recorder_off", None),
+        ("density_8_pairs_metrics_only", Some(TelemetryConfig::metrics_only())),
+        ("density_8_pairs_full_trace", Some(TelemetryConfig::default())),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                SEEDS.map(|seed| {
+                    black_box(run_density_traced(
+                        8,
+                        ChannelPlan::AllCochannel,
+                        RateAdaptation::SnrBased,
+                        1000,
+                        secs(1),
+                        seed,
+                        config,
+                    ))
+                })
+            })
+        });
+    }
     g.finish();
 }
 

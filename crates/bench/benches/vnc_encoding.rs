@@ -1,10 +1,16 @@
-//! VNC codec kernels, with the raw-vs-RLE ablation of DESIGN.md §5: what
-//! tile diff + RLE buys over shipping full raw frames.
+//! VNC codec kernels as the apps run them — the server's
+//! `append_tile_record` into a reused stream buffer, the viewer's
+//! `apply_tile_stream` and the render path's `tile_hashes_into` — with the
+//! raw-vs-RLE ablation of DESIGN.md §5: what tile diff + RLE buys over
+//! shipping full raw frames.
 
 use aroma_sim::{SimRng, SimTime};
-use aroma_vnc::encoding::{decode_tile, encode_tile, rle_encode, write_tile_stream};
+use aroma_vnc::encoding::{
+    append_tile_record, apply_tile_stream, begin_tile_stream, encode_tile, write_tile_stream,
+};
 use aroma_vnc::workloads::{BouncingBox, ScreenSource, SlideDeck};
 use aroma_vnc::{Framebuffer, TILE};
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -17,32 +23,89 @@ fn noise_tile() -> Vec<u16> {
     (0..TILE * TILE).map(|_| rng.next_u64_raw() as u16).collect()
 }
 
+/// A 320×240 slide, the content every benchmark presenter shows.
+fn slide_frame() -> Framebuffer {
+    let mut fb = Framebuffer::new(320, 240);
+    SlideDeck::new(5.0).render(SimTime::from_nanos(12_000_000_000), &mut fb);
+    fb
+}
+
+/// Encode all of `fb` into `stream` (cleared first), as a full update does.
+fn encode_frame(fb: &Framebuffer, stream: &mut Vec<u8>, pixels: &mut [u16]) {
+    stream.clear();
+    begin_tile_stream(stream, fb.tile_count() as u16);
+    for ty in 0..fb.tiles_y() {
+        for tx in 0..fb.tiles_x() {
+            fb.read_tile(tx, ty, pixels);
+            append_tile_record(stream, tx as u16, ty as u16, pixels);
+        }
+    }
+}
+
 fn bench_tile_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("vnc_encoding/tile");
     let flat = flat_tile();
     let noise = noise_tile();
-    g.bench_function("encode_flat", |b| {
-        b.iter(|| black_box(encode_tile(0, 0, black_box(&flat))))
+    let mut stream = Vec::new();
+    g.bench_function("append_flat", |b| {
+        b.iter(|| {
+            stream.clear();
+            append_tile_record(&mut stream, 0, 0, black_box(&flat));
+            black_box(stream.len())
+        })
     });
-    g.bench_function("encode_noise", |b| {
-        b.iter(|| black_box(encode_tile(0, 0, black_box(&noise))))
+    // Noise never wins with RLE: this is the Raw fallback's cost.
+    g.bench_function("append_noise", |b| {
+        b.iter(|| {
+            stream.clear();
+            append_tile_record(&mut stream, 0, 0, black_box(&noise));
+            black_box(stream.len())
+        })
     });
-    g.bench_function("rle_flat", |b| b.iter(|| black_box(rle_encode(&flat))));
-    let enc = encode_tile(0, 0, &flat);
-    g.bench_function("decode_flat", |b| {
-        b.iter(|| black_box(decode_tile(&enc, TILE * TILE).unwrap()))
+    g.finish();
+}
+
+fn bench_frame_codec(c: &mut Criterion) {
+    let mut g = c.benchmark_group("vnc_encoding/frame");
+    let fb = slide_frame();
+    let mut pixels = vec![0u16; TILE * TILE];
+    let mut stream = Vec::new();
+    g.bench_function("encode_slide_320x240", |b| {
+        b.iter(|| {
+            encode_frame(black_box(&fb), &mut stream, &mut pixels);
+            black_box(stream.len())
+        })
+    });
+    encode_frame(&fb, &mut stream, &mut pixels);
+    let wire = Bytes::from(stream.clone());
+    let mut viewer = Framebuffer::new(320, 240);
+    g.bench_function("apply_slide_320x240", |b| {
+        b.iter(|| black_box(apply_tile_stream(wire.clone(), &mut viewer)))
     });
     g.finish();
 }
 
 fn bench_hash_and_diff(c: &mut Criterion) {
     let mut g = c.benchmark_group("vnc_encoding/diff");
+    let slide = slide_frame();
     let mut fb = Framebuffer::new(640, 480);
     let mut src = BouncingBox::new();
     src.render(SimTime::from_nanos(0), &mut fb);
     let prev = fb.tile_hashes();
     src.render(SimTime::from_nanos(100_000_000), &mut fb);
-    g.bench_function("hash_640x480", |b| b.iter(|| black_box(fb.tile_hashes())));
+    let mut hashes = Vec::new();
+    g.bench_function("hash_320x240", |b| {
+        b.iter(|| {
+            slide.tile_hashes_into(&mut hashes);
+            black_box(hashes[0])
+        })
+    });
+    g.bench_function("hash_640x480", |b| {
+        b.iter(|| {
+            fb.tile_hashes_into(&mut hashes);
+            black_box(hashes[0])
+        })
+    });
     g.bench_function("dirty_tiles_640x480", |b| {
         b.iter(|| black_box(fb.dirty_tiles(&prev)))
     });
@@ -74,7 +137,7 @@ fn bench_full_vs_incremental(c: &mut Criterion) {
                         tx: tx as u16,
                         ty: ty as u16,
                         encoding: aroma_vnc::encoding::Encoding::Raw,
-                        data: bytes::Bytes::from(
+                        data: Bytes::from(
                             t.iter().flat_map(|p| p.to_le_bytes()).collect::<Vec<u8>>(),
                         ),
                     }
@@ -103,6 +166,7 @@ fn bench_full_vs_incremental(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_tile_codec,
+    bench_frame_codec,
     bench_hash_and_diff,
     bench_full_vs_incremental
 );

@@ -18,7 +18,9 @@ use aroma_sim::telemetry::Layer;
 use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
 
-// Timer tokens (per-app namespaces; apps never share a node).
+// Timer tokens (per-app namespaces; apps never share a node). The
+// registrar's expiry token carries its timer's generation above the low
+// byte.
 const T_EXPIRE: u64 = 1;
 const T_DISCOVER: u64 = 2;
 const T_REG_TIMEOUT: u64 = 3;
@@ -68,6 +70,12 @@ pub struct RegistrarApp {
     /// next lookup; the counter (and `disc.events_dropped`) makes the loss
     /// observable instead of silent.
     pub events_dropped: u64,
+    /// The one live expiry timer: the instant it was armed for and its
+    /// generation. A firing of any other generation is stale and does
+    /// nothing.
+    expiry_timer: Option<(SimTime, u64)>,
+    /// Generation of the last expiry timer armed.
+    expiry_gen: u64,
 }
 
 impl RegistrarApp {
@@ -84,6 +92,8 @@ impl RegistrarApp {
             federated_out: 0,
             event_encodings: 0,
             events_dropped: 0,
+            expiry_timer: None,
+            expiry_gen: 0,
         }
     }
 
@@ -114,6 +124,7 @@ impl RegistrarApp {
         self.alive = false;
         let max = self.registry.max_lease;
         self.registry = ServiceRegistry::new(max);
+        self.expiry_timer = None;
     }
 
     /// Bring a crashed registrar back (empty, as after a reboot).
@@ -121,11 +132,21 @@ impl RegistrarApp {
         self.alive = true;
     }
 
-    fn schedule_expiry(&self, ctx: &mut NetCtx<'_>) {
-        if let Some(at) = self.registry.next_expiry() {
-            let delay = at.saturating_since(ctx.now());
-            ctx.set_timer(delay, T_EXPIRE);
+    /// Make sure a timer fires at or before the earliest lease expiry. One
+    /// timer is live at a time: a new one is armed only when no timer is,
+    /// or when the earliest expiry now comes before the armed instant (the
+    /// older timer then fires stale). A timer that fires before any lease
+    /// lapsed sweeps nothing and arms the next one.
+    fn schedule_expiry(&mut self, ctx: &mut NetCtx<'_>) {
+        let Some(at) = self.registry.next_expiry() else {
+            return;
+        };
+        if self.expiry_timer.is_some_and(|(armed, _)| armed <= at) {
+            return;
         }
+        self.expiry_gen += 1;
+        self.expiry_timer = Some((at, self.expiry_gen));
+        ctx.set_timer(at.saturating_since(ctx.now()), T_EXPIRE | self.expiry_gen << 8);
     }
 
     fn flush_events(&mut self, ctx: &mut NetCtx<'_>, events: Vec<RegistryEvent>) {
@@ -326,7 +347,9 @@ impl NetApp for RegistrarApp {
     }
 
     fn on_timer(&mut self, ctx: &mut NetCtx<'_>, token: u64) {
-        if token == T_EXPIRE && self.alive {
+        let live = self.expiry_timer.map(|(_, generation)| T_EXPIRE | generation << 8);
+        if live == Some(token) && self.alive {
+            self.expiry_timer = None;
             let now = ctx.now();
             // Expiry count comes from the table size, not the event list:
             // registry events are per-subscriber fan-out (zero subscribers

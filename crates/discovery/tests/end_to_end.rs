@@ -5,10 +5,10 @@
 
 use aroma_discovery::apps::{ClientApp, ProviderApp, ProviderState, RegistrarApp};
 use aroma_discovery::{ClusterConfig, ReplicatedRegistrarApp};
-use aroma_discovery::codec::{EventKind, ServiceId, ServiceItem, Template};
+use aroma_discovery::codec::{EventKind, Msg, ServiceId, ServiceItem, Template};
 use aroma_env::radio::RadioEnvironment;
 use aroma_env::space::Point;
-use aroma_net::{MacConfig, Network, NodeConfig, NodeId};
+use aroma_net::{Address, MacConfig, NetApp, NetCtx, Network, NodeConfig, NodeId};
 use aroma_sim::{SimDuration, SimTime};
 use bytes::Bytes;
 
@@ -190,34 +190,37 @@ fn subscriber_sees_registration_events() {
     let _ = registrar;
 }
 
+/// A provider that registers once, `after` its start, straight at a known
+/// registrar, and never renews.
+struct OneShotRegister {
+    registrar: NodeId,
+    item: ServiceItem,
+    lease_ms: u64,
+    after: SimDuration,
+}
+
+impl NetApp for OneShotRegister {
+    fn on_start(&mut self, ctx: &mut NetCtx<'_>) {
+        ctx.set_timer(self.after, 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut NetCtx<'_>, _token: u64) {
+        let mut item = self.item.clone();
+        item.provider = ctx.node().0;
+        ctx.send(
+            Address::Node(self.registrar),
+            Msg::Register {
+                item,
+                lease_ms: self.lease_ms,
+            }
+            .encode(),
+        );
+    }
+}
+
 #[test]
 fn lease_expiry_fires_event_to_subscriber() {
-    // A provider that dies (we simulate by never renewing: lease 1 s, then
-    // we stop its timers by crashing it — easiest is a provider whose
-    // renewals are blocked by killing the registrar's RenewAck? Simplest
-    // honest route: register directly via a hand-rolled one-shot app.)
-    use aroma_net::{NetApp, NetCtx};
-    use aroma_discovery::codec::Msg;
-
-    struct OneShotRegister {
-        registrar: NodeId,
-        item: ServiceItem,
-    }
-    impl NetApp for OneShotRegister {
-        fn on_start(&mut self, ctx: &mut NetCtx<'_>) {
-            let mut item = self.item.clone();
-            item.provider = ctx.node().0;
-            ctx.send(
-                aroma_net::Address::Node(self.registrar),
-                Msg::Register {
-                    item,
-                    lease_ms: 800,
-                }
-                .encode(),
-            );
-        }
-    }
-
+    // A provider that dies (simulated by never renewing).
     let mut net = Network::new(quiet(), MacConfig::default(), 6);
     let registrar = net.add_node(
         NodeConfig::at(Point::new(0.0, 0.0)),
@@ -232,6 +235,8 @@ fn lease_expiry_fires_event_to_subscriber() {
         Box::new(OneShotRegister {
             registrar,
             item: projector_item(9),
+            lease_ms: 800,
+            after: SimDuration::ZERO,
         }),
     );
     net.run_for(SimDuration::from_secs(4));
@@ -428,4 +433,164 @@ fn replicated_registrar_drops_events_audibly_and_encodes_once() {
     let reg = net.app_as::<ReplicatedRegistrarApp>(NodeId(0)).unwrap();
     assert!(!reg.replica().unwrap().table().is_empty(), "the registration committed");
     assert_drops_audible_and_encoded_once(&net, &subscribers, reg.events_dropped, reg.event_encodings);
+}
+
+/// A registrar that records the instant of every timer callback.
+struct TimerCounting {
+    inner: RegistrarApp,
+    fired_at: Vec<SimTime>,
+}
+
+impl NetApp for TimerCounting {
+    fn on_start(&mut self, ctx: &mut NetCtx<'_>) {
+        self.inner.on_start(ctx);
+    }
+    fn on_packet(&mut self, ctx: &mut NetCtx<'_>, from: NodeId, payload: &Bytes) {
+        self.inner.on_packet(ctx, from, payload);
+    }
+    fn on_timer(&mut self, ctx: &mut NetCtx<'_>, token: u64) {
+        self.fired_at.push(ctx.now());
+        self.inner.on_timer(ctx, token);
+    }
+    fn on_sent(&mut self, ctx: &mut NetCtx<'_>, to: Address) {
+        self.inner.on_sent(ctx, to);
+    }
+    fn on_send_failed(&mut self, ctx: &mut NetCtx<'_>, to: NodeId, payload: &Bytes) {
+        self.inner.on_send_failed(ctx, to, payload);
+    }
+    fn on_crash(&mut self, ctx: &mut NetCtx<'_>) {
+        self.inner.on_crash(ctx);
+    }
+    fn on_restart(&mut self, ctx: &mut NetCtx<'_>) {
+        self.inner.on_restart(ctx);
+    }
+}
+
+/// The registrar keeps one expiry timer: renewals do not pile up timers
+/// (each used to arm one more, and each firing re-armed itself, so the
+/// timer callbacks per second grew for as long as leases were renewed),
+/// and a lease that is not renewed still lapses at exactly its grant
+/// instant plus the granted lease — also one granted after a later
+/// expiry was already armed.
+#[test]
+fn registrar_keeps_one_expiry_timer_and_lapses_on_time() {
+    use aroma_sim::telemetry::TelemetryConfig;
+    let mut net = Network::new(quiet(), MacConfig::default(), 29);
+    let registrar = net.add_node(
+        NodeConfig::at(Point::new(0.0, 0.0)),
+        Box::new(TimerCounting {
+            inner: RegistrarApp::new(SimDuration::from_secs(10)),
+            fired_at: Vec::new(),
+        }),
+    );
+    for i in 0..6 {
+        let angle = i as f64;
+        net.add_node(
+            NodeConfig::at(Point::new(4.0 * angle.cos(), 4.0 * angle.sin())),
+            Box::new(ProviderApp::new(projector_item(10 + i), 8_000)),
+        );
+    }
+    // Registered longest lease first, so each later grant expires before
+    // the timer already armed.
+    for (i, lease_ms) in [9_000, 5_000, 2_000].into_iter().enumerate() {
+        net.add_node(
+            NodeConfig::at(Point::new(-3.0, i as f64)),
+            Box::new(OneShotRegister {
+                registrar,
+                item: projector_item(90 + i as u64),
+                lease_ms,
+                after: SimDuration::ZERO,
+            }),
+        );
+    }
+    net.attach_telemetry(TelemetryConfig { ring_capacity: 1 << 16 });
+    net.run_for(SimDuration::from_secs(90));
+
+    let app = net.app_as::<TimerCounting>(registrar).unwrap();
+    let in_window = |from_s: u64, to_s: u64| {
+        let (lo, hi) = (
+            SimTime::ZERO + SimDuration::from_secs(from_s),
+            SimTime::ZERO + SimDuration::from_secs(to_s),
+        );
+        app.fired_at.iter().filter(|&&t| lo <= t && t < hi).count()
+    };
+    let (first, last) = (in_window(0, 30), in_window(60, 90));
+    assert!(last > 0, "no expiry timer fired in the last 30 s");
+    assert!(
+        last <= first,
+        "expiry timers pile up: {first} callbacks in the first 30 s, {last} in the last"
+    );
+    assert!(app.inner.renewals > 60, "only {} renewals", app.inner.renewals);
+    assert_eq!(app.inner.registry.len(), 6, "a renewed lease lapsed");
+
+    let snap = net.telemetry_snapshot().expect("telemetry attached");
+    assert_eq!(snap.trace_dropped, 0);
+    let lapses: Vec<u64> = snap
+        .trace
+        .iter()
+        .filter(|e| e.name == "lease.expire")
+        .map(|e| e.t_nanos)
+        .collect();
+    let mut due: Vec<u64> = snap
+        .trace
+        .iter()
+        .filter(|e| e.name == "lease.grant" && e.a >= 90)
+        .map(|e| e.t_nanos + SimDuration::from_millis(e.b as u64).as_nanos())
+        .collect();
+    due.sort_unstable();
+    assert_eq!(due.len(), 3, "every one-shot registration was granted");
+    assert_eq!(lapses, due, "each one-shot lease lapses at its grant instant plus its lease");
+}
+
+/// A fault-plane crash cancels the registrar's pending timers and loses
+/// its table; a lease granted after the restart, expiring later than the
+/// cancelled timer was armed for, must still get a timer of its own.
+#[test]
+fn registrar_restarted_by_the_fault_plane_still_expires_leases() {
+    use aroma_sim::faults::FaultSchedule;
+    use aroma_sim::telemetry::TelemetryConfig;
+    let mut net = Network::new(quiet(), MacConfig::default(), 37);
+    let registrar = net.add_node(
+        NodeConfig::at(Point::new(0.0, 0.0)),
+        Box::new(RegistrarApp::new(SimDuration::from_secs(10))),
+    );
+    for (i, (lease_ms, after_s)) in [(9_000, 0), (8_000, 3)].into_iter().enumerate() {
+        net.add_node(
+            NodeConfig::at(Point::new(3.0, i as f64)),
+            Box::new(OneShotRegister {
+                registrar,
+                item: projector_item(70 + i as u64),
+                lease_ms,
+                after: SimDuration::from_secs(after_s),
+            }),
+        );
+    }
+    // Down from 1 s to 2 s: the first lease and its timer (armed for
+    // about 9 s) are gone before the second registers at 3 s.
+    let schedule = FaultSchedule::builder(1)
+        .crash_restart(
+            SimDuration::from_secs(1).as_nanos(),
+            SimDuration::from_secs(2).as_nanos(),
+            registrar.0,
+        )
+        .build();
+    net.attach_faults(&schedule);
+    net.attach_telemetry(TelemetryConfig::default());
+    net.run_for(SimDuration::from_secs(14));
+
+    let reg = net.app_as::<RegistrarApp>(registrar).unwrap();
+    assert_eq!(reg.registrations, 2);
+    assert_eq!(reg.registry.len(), 0, "the lease granted after the restart never lapsed");
+    let snap = net.telemetry_snapshot().expect("telemetry attached");
+    let grant = snap
+        .trace
+        .iter()
+        .find(|e| e.name == "lease.grant" && e.a == 71)
+        .expect("the second registration was granted");
+    let lapse = snap
+        .trace
+        .iter()
+        .find(|e| e.name == "lease.expire")
+        .expect("a lease lapsed");
+    assert_eq!(lapse.t_nanos, grant.t_nanos + SimDuration::from_millis(grant.b as u64).as_nanos());
 }

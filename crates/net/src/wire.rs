@@ -20,7 +20,7 @@
 //! other count or length goes through [`prefix`], which panics in every
 //! build profile rather than emit a prefix that disagrees with its body.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 
 /// Why a frame was rejected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,44 +59,55 @@ impl std::error::Error for WireError {}
 #[derive(Debug)]
 pub struct Reader {
     buf: Bytes,
+    /// Bytes of `buf` already read.
+    pos: usize,
 }
 
 impl Reader {
     /// Start reading `buf` from its first byte.
     pub fn new(buf: Bytes) -> Self {
-        Reader { buf }
+        Reader { buf, pos: 0 }
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn need(&self, n: usize) -> Result<(), WireError> {
-        if self.buf.len() < n {
+        if self.remaining() < n {
             Err(WireError::Truncated)
         } else {
             Ok(())
         }
     }
 
+    /// The next `N` bytes, copied out.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.need(N)?;
+        let mut a = [0; N];
+        a.copy_from_slice(&self.buf[self.pos..self.pos + N]);
+        self.pos += N;
+        Ok(a)
+    }
+
     /// One byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        self.array().map(u8::from_be_bytes)
     }
 
     /// A big-endian u16.
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16())
+        self.array().map(u16::from_be_bytes)
     }
 
     /// A big-endian u32.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32())
+        self.array().map(u32::from_be_bytes)
     }
 
     /// A big-endian u64.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64())
+        self.array().map(u64::from_be_bytes)
     }
 
     /// One byte that must equal `want` (a protocol or version byte);
@@ -111,7 +122,9 @@ impl Reader {
     /// The next `n` bytes, as a view into the frame.
     pub fn bytes(&mut self, n: usize) -> Result<Bytes, WireError> {
         self.need(n)?;
-        Ok(self.buf.split_to(n))
+        let view = self.buf.slice(self.pos..self.pos + n);
+        self.pos += n;
+        Ok(view)
     }
 
     /// A blob behind a u16 length prefix.
@@ -124,6 +137,17 @@ impl Reader {
     pub fn bytes32(&mut self) -> Result<Bytes, WireError> {
         let n = self.u32()? as usize;
         self.bytes(n)
+    }
+
+    /// A blob behind a u32 length prefix, borrowed from the frame: what
+    /// [`Reader::bytes32`] reads, without the view's reference count, for a
+    /// caller that is done with the blob before its next read.
+    pub fn slice32(&mut self) -> Result<&[u8], WireError> {
+        let n = self.u32()? as usize;
+        self.need(n)?;
+        let at = self.pos;
+        self.pos += n;
+        Ok(&self.buf[at..at + n])
     }
 
     /// A UTF-8 string behind a u16 length prefix (see [`put_str16`]).
@@ -139,13 +163,13 @@ impl Reader {
     /// than the remaining input can hold. For a well-formed frame this is
     /// `count` itself.
     pub fn capacity(&self, count: usize, min_len: usize) -> usize {
-        count.min(self.buf.len() / min_len)
+        count.min(self.remaining() / min_len)
     }
 
     /// End of message: any byte left over is
     /// [`WireError::TrailingBytes`].
     pub fn finish(self) -> Result<(), WireError> {
-        match self.buf.len() {
+        match self.remaining() {
             0 => Ok(()),
             remaining => Err(WireError::TrailingBytes { remaining }),
         }
@@ -189,6 +213,21 @@ mod tests {
         // A failed read consumes nothing.
         assert_eq!(r.bytes(7).as_deref(), Ok(&[8, 9, 10, 11, 12, 13, 14][..]));
         assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn slice32_borrows_what_bytes32_views() {
+        let frame = [0, 0, 0, 3, 7, 8, 9, 0, 0, 0, 0, 0, 0, 0, 9, 1];
+        let (mut a, mut b) = (reader(&frame), reader(&frame));
+        assert_eq!(a.slice32(), Ok(&[7, 8, 9][..]));
+        assert_eq!(b.bytes32().as_deref(), Ok(&[7, 8, 9][..]));
+        assert_eq!(a.slice32(), Ok(&[][..]));
+        // A length past the end is Truncated, as for bytes32.
+        assert_eq!(a.slice32(), Err(WireError::Truncated));
+        assert_eq!(b.u32(), Ok(0));
+        assert_eq!(b.bytes32(), Err(WireError::Truncated));
+        assert_eq!(a.capacity(100, 1), 1);
+        assert_eq!(a.finish(), Err(WireError::TrailingBytes { remaining: 1 }));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Achieved frame rate, frame latency and bytes on the air are the E1
 //! observables.
 
-use crate::encoding::{append_tile_record, begin_tile_stream, coarsen_pixels, decode_tile, read_tile_stream};
+use crate::encoding::{append_tile_record, apply_tile_stream, begin_tile_stream, coarsen_pixels};
 use crate::framebuffer::{Framebuffer, TILE};
 use crate::pool::BufPool;
 use crate::protocol::{encode_chunk_frames_into, PushResult, Reassembler, VncMsg};
@@ -296,7 +296,6 @@ impl VncServerApp {
         let mut stream = self.pool.take_bytes();
         let mut pixels = self.pool.take_pixels();
         pixels.resize(TILE * TILE, 0);
-        let mut rle = self.pool.take_bytes();
         begin_tile_stream(&mut stream, dirty.len() as u16);
         let tx_count = self.fb.tiles_x();
         for &idx in &dirty {
@@ -305,7 +304,7 @@ impl VncServerApp {
             if coarse {
                 coarsen_pixels(&mut pixels);
             }
-            append_tile_record(&mut stream, tx as u16, ty as u16, &pixels, &mut rle);
+            append_tile_record(&mut stream, tx as u16, ty as u16, &pixels);
         }
         if let Some(t) = t0 {
             ctx.telemetry()
@@ -331,7 +330,6 @@ impl VncServerApp {
             tiles: dirty.len(),
         };
         self.pool.put_bytes(stream);
-        self.pool.put_bytes(rle);
         self.pool.put_pixels(pixels);
         self.pool.put_indices(dirty);
         self.encodings.push(entry);
@@ -643,20 +641,15 @@ impl VncViewerApp {
 
     fn apply_stream(&mut self, stream: Bytes) -> bool {
         self.stream_bytes_received += stream.len() as u64;
-        let Ok(tiles) = read_tile_stream(stream) else {
-            return false;
-        };
-        let had_content = !tiles.is_empty();
-        for t in &tiles {
-            let Ok(pixels) = decode_tile(t, TILE * TILE) else {
-                return false;
-            };
-            self.fb.write_tile(t.tx as usize, t.ty as usize, &pixels);
+        match apply_tile_stream(stream, &mut self.fb) {
+            Ok(tiles) => {
+                if tiles > 0 {
+                    self.frames_with_content += 1;
+                }
+                true
+            }
+            Err(_) => false,
         }
-        if had_content {
-            self.frames_with_content += 1;
-        }
-        true
     }
 
     /// One loss recovery: count it, maybe degrade, and either retry
@@ -1114,13 +1107,57 @@ mod tests {
             };
             if let PushResult::Complete(stream) = self.reassembler.push(update_id, seq, last, &payload)
             {
-                for t in &read_tile_stream(stream).expect("valid stream") {
-                    let pixels = decode_tile(t, TILE * TILE).expect("valid tile");
-                    self.fb.write_tile(t.tx as usize, t.ty as usize, &pixels);
-                }
+                apply_tile_stream(stream, &mut self.fb).expect("valid stream");
                 self.completed += 1;
             }
         }
+    }
+
+    /// A forging server: answers every request with a one-chunk update
+    /// whose single tile lies outside the viewer's screen, alternating a
+    /// column one past the last (which used to land in the next tile row)
+    /// and a row one past the last (which used to panic).
+    struct OutOfBoundsServer {
+        tiles: (u16, u16),
+        served: u32,
+    }
+
+    impl NetApp for OutOfBoundsServer {
+        fn on_packet(&mut self, ctx: &mut NetCtx<'_>, from: NodeId, _payload: &Bytes) {
+            let (tiles_x, tiles_y) = self.tiles;
+            let (tx, ty) = if self.served.is_multiple_of(2) { (tiles_x, 0) } else { (0, tiles_y) };
+            let mut stream = Vec::new();
+            begin_tile_stream(&mut stream, 1);
+            append_tile_record(&mut stream, tx, ty, &[0xFFFF; TILE * TILE]);
+            let chunk = VncMsg::UpdateChunk {
+                update_id: self.served,
+                seq: 0,
+                last: true,
+                payload: Bytes::from(stream),
+            };
+            self.served += 1;
+            ctx.send(Address::Node(from), chunk.encode());
+        }
+    }
+
+    #[test]
+    fn viewer_rejects_tiles_outside_its_screen_and_recovers() {
+        let mut net = Network::new(quiet(), MacConfig::default(), 31);
+        let server = net.add_node(
+            NodeConfig::at(Point::new(0.0, 0.0)),
+            Box::new(OutOfBoundsServer { tiles: (20, 15), served: 0 }),
+        );
+        let viewer = net.add_node(
+            NodeConfig::at(Point::new(4.0, 0.0)),
+            Box::new(VncViewerApp::new(server, 320, 240)),
+        );
+        net.run_for(SimDuration::from_secs(4));
+        let served = net.app_as::<OutOfBoundsServer>(server).unwrap().served;
+        let v = net.app_as::<VncViewerApp>(viewer).unwrap();
+        assert!(served >= 3, "only {served} forged updates");
+        assert_eq!(v.recoveries, u64::from(served), "a forged update went unnoticed");
+        assert_eq!(v.updates_completed, 0);
+        assert_eq!(v.screen_digest(), Framebuffer::new(320, 240).digest(), "a forged tile was written");
     }
 
     /// The viewer-steal regression: under the old single-slot server, a

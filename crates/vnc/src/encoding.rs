@@ -4,7 +4,16 @@
 //! `Rle` (run-length over RGB565 values). The encoder picks whichever is
 //! smaller per tile — slides compress enormously, noise video does not,
 //! which is precisely the content-dependence E1 measures.
+//!
+//! The apps use one encoder and one decoder, both working in place:
+//! [`begin_tile_stream`] + [`append_tile_record`] write a stream straight
+//! into a caller-owned buffer, and [`apply_tile_stream`] writes a received
+//! stream straight into a framebuffer. [`encode_tile`],
+//! [`write_tile_stream`], [`read_tile_stream`] and [`decode_tile`] (with
+//! [`rle_encode`] and [`rle_decode`]) are the allocating reference codec
+//! those two are tested against, byte for byte.
 
+use crate::framebuffer::{Framebuffer, TILE};
 use aroma_net::wire::{self, Reader, WireError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -54,7 +63,45 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// RLE-encode `pixels` (any length > 0).
+/// Why [`apply_tile_stream`] rejected a stream.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ApplyError {
+    /// The stream is malformed, as [`read_tile_stream`] would report it.
+    /// No tile was written.
+    Wire(WireError),
+    /// A record names a tile outside the framebuffer (the first such
+    /// record). No tile was written.
+    OutOfBounds {
+        /// Tile column on the wire.
+        tx: u16,
+        /// Tile row on the wire.
+        ty: u16,
+    },
+    /// A tile's payload does not decode, as [`decode_tile`] would report
+    /// it. The tiles before it were written.
+    Tile(DecodeError),
+}
+
+impl From<WireError> for ApplyError {
+    fn from(e: WireError) -> Self {
+        ApplyError::Wire(e)
+    }
+}
+
+impl std::fmt::Display for ApplyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ApplyError::Wire(e) => write!(f, "tile stream: {e}"),
+            ApplyError::OutOfBounds { tx, ty } => write!(f, "tile ({tx}, {ty}) outside the framebuffer"),
+            ApplyError::Tile(e) => write!(f, "tile payload: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ApplyError {}
+
+/// RLE-encode `pixels` (any length > 0), one pixel at a time: the
+/// reference for [`rle_encode_into`].
 pub fn rle_encode(pixels: &[u16]) -> Bytes {
     let mut out = BytesMut::with_capacity(pixels.len());
     let mut i = 0;
@@ -105,7 +152,8 @@ pub fn coarsen_pixels(pixels: &mut [u16]) {
     }
 }
 
-/// Encode a tile's pixels, choosing the smaller of Raw and RLE.
+/// Encode a tile's pixels, choosing the smaller of Raw and RLE (the
+/// reference for [`append_tile_record`]).
 pub fn encode_tile(tx: u16, ty: u16, pixels: &[u16]) -> EncodedTile {
     let rle = rle_encode(pixels);
     if rle.len() < pixels.len() * 2 {
@@ -129,20 +177,47 @@ pub fn encode_tile(tx: u16, ty: u16, pixels: &[u16]) -> EncodedTile {
     }
 }
 
+/// Length of the run of `px[0]` at the head of `px`, at most 255: eight
+/// pixels are compared at a time as one array, then the tail one by one.
+#[inline]
+fn run_len(px: &[u16]) -> usize {
+    let v = px[0];
+    let max = px.len().min(255);
+    let mut run = 1;
+    while run + 8 <= max {
+        let next: [u16; 8] = px[run..run + 8].try_into().expect("eight pixels");
+        if next != [v; 8] {
+            break;
+        }
+        run += 8;
+    }
+    while run < max && px[run] == v {
+        run += 1;
+    }
+    run
+}
+
+/// Append the RLE runs of `pixels` to `out` until they are complete or
+/// have reached `limit` bytes, whichever comes first; returns the bytes
+/// appended. Each run is written as one 3-byte slice into room reserved
+/// once.
+fn rle_runs_into(pixels: &[u16], out: &mut Vec<u8>, limit: usize) -> usize {
+    out.reserve(3 * pixels.len());
+    let start = out.len();
+    let mut i = 0;
+    while i < pixels.len() && out.len() - start < limit {
+        let run = run_len(&pixels[i..]);
+        let [lo, hi] = pixels[i].to_le_bytes();
+        out.extend_from_slice(&[run as u8, lo, hi]);
+        i += run;
+    }
+    out.len() - start
+}
+
 /// RLE-encode `pixels`, appending to `out` (the allocation-free twin of
 /// [`rle_encode`], byte-identical output).
 pub fn rle_encode_into(pixels: &[u16], out: &mut Vec<u8>) {
-    let mut i = 0;
-    while i < pixels.len() {
-        let v = pixels[i];
-        let mut run = 1usize;
-        while i + run < pixels.len() && pixels[i + run] == v && run < 255 {
-            run += 1;
-        }
-        out.push(run as u8);
-        out.extend_from_slice(&v.to_le_bytes());
-        i += run;
-    }
+    rle_runs_into(pixels, out, usize::MAX);
 }
 
 /// Start a tile stream in a caller-owned buffer: the byte-identical twin
@@ -155,28 +230,116 @@ pub fn begin_tile_stream(out: &mut Vec<u8>, count: u16) {
 /// Append one tile's record — position, chosen encoding, length, data — to
 /// a stream started by [`begin_tile_stream`]. Picks the smaller of Raw and
 /// RLE exactly like [`encode_tile`], producing byte-identical stream
-/// output, but writes straight into `out` with `rle_scratch` as the only
-/// working memory (cleared here; recycle it across calls).
-pub fn append_tile_record(out: &mut Vec<u8>, tx: u16, ty: u16, pixels: &[u16], rle_scratch: &mut Vec<u8>) {
-    rle_scratch.clear();
-    rle_encode_into(pixels, rle_scratch);
-    let rle_wins = rle_scratch.len() < pixels.len() * 2;
+/// output, but writes straight into `out`: the RLE runs go in behind a
+/// placeholder length that is patched afterwards, and when they do not
+/// come out smaller than Raw (they stop as soon as they reach its size)
+/// they are cut off again and the pixels are written Raw.
+pub fn append_tile_record(out: &mut Vec<u8>, tx: u16, ty: u16, pixels: &[u16]) {
+    let raw_len = pixels.len() * 2;
     out.extend_from_slice(&tx.to_be_bytes());
     out.extend_from_slice(&ty.to_be_bytes());
-    if rle_wins {
-        out.push(1); // Encoding::Rle
-        out.extend_from_slice(&wire::prefix::<u32>(rle_scratch.len()).to_be_bytes());
-        out.extend_from_slice(rle_scratch);
+    let tag = out.len();
+    out.extend_from_slice(&[1, 0, 0, 0, 0]); // Encoding::Rle, length patched below
+    let body = out.len();
+    let rle_len = rle_runs_into(pixels, out, raw_len);
+    if rle_len < raw_len {
+        out[tag + 1..body].copy_from_slice(&wire::prefix::<u32>(rle_len).to_be_bytes());
     } else {
-        out.push(0); // Encoding::Raw
-        out.extend_from_slice(&wire::prefix::<u32>(pixels.len() * 2).to_be_bytes());
-        for &p in pixels {
-            out.extend_from_slice(&p.to_le_bytes());
+        out.truncate(body);
+        out[tag] = 0; // Encoding::Raw
+        out[tag + 1..body].copy_from_slice(&wire::prefix::<u32>(raw_len).to_be_bytes());
+        out.resize(body + raw_len, 0);
+        for (dst, p) in out[body..].chunks_exact_mut(2).zip(pixels) {
+            dst.copy_from_slice(&p.to_le_bytes());
         }
     }
 }
 
-/// Decode a tile back to `expected` pixels.
+/// The encoding a tile record's tag byte names.
+fn encoding_of(tag: u8) -> Result<Encoding, WireError> {
+    match tag {
+        0 => Ok(Encoding::Raw),
+        1 => Ok(Encoding::Rle),
+        e => Err(WireError::BadTag(e)),
+    }
+}
+
+/// Decode one tile payload into all of `out`: [`decode_tile`] without the
+/// allocation, with the same errors in the same order.
+fn decode_tile_into(encoding: Encoding, data: &[u8], out: &mut [u16]) -> Result<(), DecodeError> {
+    match encoding {
+        Encoding::Raw => {
+            if data.len() != out.len() * 2 {
+                return Err(DecodeError::BadLength);
+            }
+            for (p, b) in out.iter_mut().zip(data.chunks_exact(2)) {
+                *p = u16::from_le_bytes([b[0], b[1]]);
+            }
+        }
+        Encoding::Rle => {
+            let mut filled = 0;
+            let mut runs = data.chunks_exact(3);
+            for run in &mut runs {
+                let len = usize::from(run[0]);
+                if len == 0 || filled + len > out.len() {
+                    return Err(DecodeError::BadRunTotal);
+                }
+                out[filled..filled + len].fill(u16::from_le_bytes([run[1], run[2]]));
+                filled += len;
+            }
+            if !runs.remainder().is_empty() {
+                return Err(DecodeError::Truncated);
+            }
+            if filled != out.len() {
+                return Err(DecodeError::BadRunTotal);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Apply a tile stream to `fb` in place and return how many tiles it
+/// carried. The viewer's one decoder: it does what [`read_tile_stream`],
+/// then [`decode_tile`] and [`Framebuffer::write_tile`] per tile do, with
+/// no allocation and no reference count per tile.
+///
+/// A first pass walks the records and checks the stream's structure —
+/// exactly what [`read_tile_stream`] rejects — and that every record
+/// names a tile of `fb`. A stream that fails it writes nothing. A second
+/// pass decodes each tile into one stack buffer and writes it, stopping at
+/// the first payload that does not decode; the tiles before it stay
+/// written.
+pub fn apply_tile_stream(stream: Bytes, fb: &mut Framebuffer) -> Result<usize, ApplyError> {
+    let mut r = Reader::new(stream.clone());
+    let n = usize::from(r.u16()?);
+    let mut outside = None;
+    for _ in 0..n {
+        let (tx, ty) = (r.u16()?, r.u16()?);
+        encoding_of(r.u8()?)?;
+        r.slice32()?;
+        if outside.is_none() && (usize::from(tx) >= fb.tiles_x() || usize::from(ty) >= fb.tiles_y()) {
+            outside = Some(ApplyError::OutOfBounds { tx, ty });
+        }
+    }
+    r.finish()?;
+    if let Some(e) = outside {
+        return Err(e);
+    }
+
+    let mut r = Reader::new(stream);
+    r.u16()?;
+    let mut tile = [0u16; TILE * TILE];
+    for _ in 0..n {
+        let (tx, ty) = (r.u16()?, r.u16()?);
+        let encoding = encoding_of(r.u8()?)?;
+        decode_tile_into(encoding, r.slice32()?, &mut tile).map_err(ApplyError::Tile)?;
+        fb.write_tile(usize::from(tx), usize::from(ty), &tile);
+    }
+    Ok(n)
+}
+
+/// Decode a tile back to `expected` pixels (the reference for
+/// [`apply_tile_stream`]'s per-tile decode).
 pub fn decode_tile(tile: &EncodedTile, expected: usize) -> Result<Vec<u16>, DecodeError> {
     match tile.encoding {
         Encoding::Raw => {
@@ -190,7 +353,8 @@ pub fn decode_tile(tile: &EncodedTile, expected: usize) -> Result<Vec<u16>, Deco
     }
 }
 
-/// Serialise a sequence of encoded tiles into one byte stream.
+/// Serialise a sequence of encoded tiles into one byte stream (the
+/// reference for [`begin_tile_stream`] and [`append_tile_record`]).
 pub fn write_tile_stream(tiles: &[EncodedTile]) -> Bytes {
     let mut out = BytesMut::new();
     out.put_u16(wire::prefix(tiles.len()));
@@ -211,7 +375,8 @@ pub fn write_tile_stream(tiles: &[EncodedTile]) -> Bytes {
 const MIN_TILE_RECORD: usize = 2 + 2 + 1 + 4;
 
 /// Parse a tile stream produced by [`write_tile_stream`]; the stream must
-/// end with its last tile record.
+/// end with its last tile record (the reference for
+/// [`apply_tile_stream`]'s structural pass).
 pub fn read_tile_stream(data: Bytes) -> Result<Vec<EncodedTile>, WireError> {
     let mut r = Reader::new(data);
     let n = r.u16()? as usize;
@@ -220,11 +385,7 @@ pub fn read_tile_stream(data: Bytes) -> Result<Vec<EncodedTile>, WireError> {
         out.push(EncodedTile {
             tx: r.u16()?,
             ty: r.u16()?,
-            encoding: match r.u8()? {
-                0 => Encoding::Raw,
-                1 => Encoding::Rle,
-                e => return Err(WireError::BadTag(e)),
-            },
+            encoding: encoding_of(r.u8()?)?,
             data: r.bytes32()?,
         });
     }
@@ -235,7 +396,6 @@ pub fn read_tile_stream(data: Bytes) -> Result<Vec<EncodedTile>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framebuffer::TILE;
 
     const N: usize = TILE * TILE;
 
@@ -366,11 +526,10 @@ mod tests {
         let reference = write_tile_stream(&tiles);
 
         let mut out = Vec::new();
-        let mut scratch = vec![0xAAu8; 17]; // dirty scratch must not leak in
         begin_tile_stream(&mut out, 3);
-        append_tile_record(&mut out, 0, 0, &flat, &mut scratch);
-        append_tile_record(&mut out, 3, 7, &noise, &mut scratch);
-        append_tile_record(&mut out, 1, 2, &grad, &mut scratch);
+        append_tile_record(&mut out, 0, 0, &flat);
+        append_tile_record(&mut out, 3, 7, &noise);
+        append_tile_record(&mut out, 1, 2, &grad);
         assert_eq!(&out[..], &reference[..]);
     }
 

@@ -5,6 +5,20 @@ use aroma_sim::rng::fnv1a;
 /// Tile edge length in pixels (16×16, as in VNC's hextile encoding).
 pub const TILE: usize = 16;
 
+/// Fold one tile row (`TILE` pixels, four words) into a tile hash state:
+/// the step both [`Framebuffer::tile_hash`] and
+/// [`Framebuffer::tile_hashes_into`] take.
+#[inline]
+fn fold_tile_row(mut h: u64, px: &[u16]) -> u64 {
+    const K: u64 = 0x517C_C1B7_2722_0A95;
+    let px: &[u16; TILE] = px.try_into().expect("one tile row");
+    for w in px.chunks_exact(4) {
+        let word = u64::from(w[0]) | u64::from(w[1]) << 16 | u64::from(w[2]) << 32 | u64::from(w[3]) << 48;
+        h = (h.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+    h
+}
+
 /// A 16-bit RGB565 framebuffer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Framebuffer {
@@ -116,21 +130,12 @@ impl Framebuffer {
     /// unmixed, where a second top-bit flip in a later word would cancel
     /// it.
     pub fn tile_hash(&self, tx: usize, ty: usize) -> u64 {
-        const K: u64 = 0x517C_C1B7_2722_0A95;
         let x0 = tx * TILE;
         let y0 = ty * TILE;
-        let mut h: u64 = 0;
-        for row in 0..TILE {
+        (0..TILE).fold(0, |h, row| {
             let src = (y0 + row) * self.width + x0;
-            for px in self.pixels[src..src + TILE].chunks_exact(4) {
-                let word = u64::from(px[0])
-                    | u64::from(px[1]) << 16
-                    | u64::from(px[2]) << 32
-                    | u64::from(px[3]) << 48;
-                h = (h.rotate_left(5) ^ word).wrapping_mul(K);
-            }
-        }
-        h
+            fold_tile_row(h, &self.pixels[src..src + TILE])
+        })
     }
 
     /// Hashes of every tile, row-major.
@@ -142,12 +147,21 @@ impl Framebuffer {
 
     /// [`Framebuffer::tile_hashes`] into a caller-owned vector (cleared
     /// first), so a hot render loop can recycle the allocation.
+    ///
+    /// It walks the screen one pixel row at a time and folds each tile's
+    /// share of the row into that tile's own state in `out`, so the tiles
+    /// of a row are independent multiply chains rather than one serial
+    /// chain. Each tile still folds the same words in the same order, so
+    /// every hash equals [`Framebuffer::tile_hash`] bit for bit.
     pub fn tile_hashes_into(&self, out: &mut Vec<u64>) {
         out.clear();
-        out.reserve(self.tile_count());
-        for ty in 0..self.tiles_y() {
-            for tx in 0..self.tiles_x() {
-                out.push(self.tile_hash(tx, ty));
+        out.resize(self.tile_count(), 0);
+        let bands = self.pixels.chunks_exact(self.width * TILE);
+        for (band, hashes) in bands.zip(out.chunks_exact_mut(self.tiles_x())) {
+            for row in band.chunks_exact(self.width) {
+                for (h, px) in hashes.iter_mut().zip(row.chunks_exact(TILE)) {
+                    *h = fold_tile_row(*h, px);
+                }
             }
         }
     }
