@@ -4,8 +4,41 @@ use aroma_sim::{EventQueue, SimDuration, SimRng};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+/// A delay from the mix the network schedules on the `building` workload:
+/// 15% at the same instant, 72% 16 µs–1 ms, 12% 1 ms–1 s, 1% 1–16 s.
+fn network_delay(rng: &mut SimRng) -> SimDuration {
+    let (lo, hi) = match rng.below(100) {
+        0..15 => return SimDuration::ZERO,
+        15..87 => (16_000, 1_000_000),
+        87..99 => (1_000_000, 1_000_000_000),
+        _ => (1_000_000_000, 16_000_000_000),
+    };
+    SimDuration::from_nanos(lo + rng.below(hi - lo))
+}
+
+/// A network-sized event: a tie key (rank in the top byte, then a node
+/// id) and a 40-byte body, 48 bytes in all.
+type NetEvent = (u64, [u64; 5]);
+
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("simcore/event_queue");
+    // What a network does: hold `n` events pending, and per iteration pop
+    // the next one and schedule another with a delay from the measured mix.
+    for &n in &[64usize, 1_000, 10_000] {
+        g.bench_function(format!("hold_{n}"), |b| {
+            let mut rng = SimRng::new(233);
+            let mut q: EventQueue<NetEvent> = EventQueue::keyed(|&(key, _)| key);
+            for _ in 0..n {
+                let key = rng.below(7) << 56 | rng.below(64);
+                q.schedule_in(network_delay(&mut rng), (key, [0; 5]));
+            }
+            b.iter(|| {
+                let (_, ev) = q.pop().expect("the queue holds n events");
+                q.schedule_in(network_delay(&mut rng), black_box(ev));
+            })
+        });
+    }
+    // Fill with uniform random times, then drain.
     for &n in &[1_000usize, 10_000] {
         g.bench_function(format!("schedule_pop_{n}"), |b| {
             b.iter_batched(

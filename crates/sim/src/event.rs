@@ -9,7 +9,7 @@
 //!    order of same-instant events is a property of the events, not of when
 //!    each was scheduled; events with equal keys (every event of a queue
 //!    built with [`EventQueue::new`]) pop in the order they were scheduled
-//!    (FIFO by a monotone sequence number). A run never depends on heap
+//!    (FIFO by a monotone sequence number). A run never depends on queue
 //!    internals.
 //! 2. **Monotonic time** — popping never moves time backwards; scheduling in
 //!    the past is a programming error and panics in debug builds (clamped to
@@ -18,36 +18,58 @@
 //! Events cannot be cancelled: a substrate that no longer wants an event
 //! ignores it when it fires (the network tags timers with an epoch for
 //! exactly that).
+//!
+//! # Layout: a monotone radix queue
+//!
+//! Each pending event lives in a slot of a slab, written once when it is
+//! scheduled and moved out once when it pops; freed slots are reused
+//! through a free list. `base` is the instant at which the queue last
+//! opened a bucket, and it is never after `now`. An event at `base` waits
+//! in `due`, a small heap on `(key, seq)` that orders same-instant ties.
+//! Any later event is chained, through its slot's link, into bucket `i`,
+//! where `i` is the highest bit at which its time differs from `base`.
+//! Every time in bucket `i` shares `base`'s bits above `i` and sets bit
+//! `i`, so it is earlier than every time in a bucket above `i`; the lowest
+//! non-empty bucket therefore holds the earliest pending time, which each
+//! bucket keeps. When `due` runs dry, `pop` opens that bucket: its
+//! earliest time becomes `base`, and each of its events lands in `due` or
+//! in a lower bucket. So an event is re-filed only a few times between
+//! its schedule and its pop, instead of moving once per heap level, and
+//! the pop order is exactly the `(time, key, seq)` order.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-#[derive(Debug)]
-struct Entry<E> {
+/// The end of a chain: no slot.
+const NIL: u32 = u32::MAX;
+
+/// Buckets, one per bit of a `u64` instant.
+const BUCKETS: usize = 64;
+
+/// A pending event's order and its link: the next slot of its bucket's
+/// chain, or of the free list once the event has popped.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
     time: SimTime,
     key: u64,
     seq: u64,
-    payload: E,
+    next: u32,
 }
 
-// Order by (time, key, seq); the heap stores `Reverse` so the earliest pops
-// first.
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key && self.seq == other.seq
-    }
+/// The head of a chain of slots whose times first differ from `base` at
+/// one bit, and the earliest of those times.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    earliest: SimTime,
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.key, self.seq).cmp(&(other.time, other.key, other.seq))
-    }
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        earliest: SimTime::MAX,
+    };
 }
 
 /// A future-event list with a built-in simulation clock.
@@ -67,7 +89,24 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Each pending event's order and link, indexed like `payloads`.
+    slots: Vec<Slot>,
+    /// Each pending event; `None` in a free slot.
+    payloads: Vec<Option<E>>,
+    /// The first free slot, chained through [`Slot::next`].
+    free: u32,
+    /// Pending events.
+    len: usize,
+    /// The events at `base`, earliest `(key, seq)` first.
+    due: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Bucket `i` chains the events whose time first differs from `base`
+    /// at bit `i`.
+    buckets: [Bucket; BUCKETS],
+    /// Bit `i` set when bucket `i` is not empty.
+    occupied: u64,
+    /// The instant of the last opened bucket; never after `now`, and never
+    /// after a pending event.
+    base: SimTime,
     now: SimTime,
     next_seq: u64,
     key: fn(&E) -> u64,
@@ -102,7 +141,14 @@ impl<E> EventQueue<E> {
     /// ```
     pub fn keyed(key: fn(&E) -> u64) -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            payloads: Vec::new(),
+            free: NIL,
+            len: 0,
+            due: BinaryHeap::new(),
+            buckets: [Bucket::EMPTY; BUCKETS],
+            occupied: 0,
+            base: SimTime::ZERO,
             now: SimTime::ZERO,
             next_seq: 0,
             key,
@@ -118,13 +164,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events: scheduled, not yet fired.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True when no events remain.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Schedule `payload` at absolute time `at`.
@@ -138,14 +184,49 @@ impl<E> EventQueue<E> {
         } else {
             at
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
+        let slot = Slot {
             time: at,
             key: (self.key)(&payload),
-            seq,
-            payload,
-        }));
+            seq: self.next_seq,
+            next: NIL,
+        };
+        self.next_seq += 1;
+        let index = if self.free == NIL {
+            let index = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("event queue is full");
+            self.slots.push(slot);
+            self.payloads.push(Some(payload));
+            index
+        } else {
+            let index = self.free;
+            let i = index as usize;
+            self.free = self.slots[i].next;
+            self.slots[i] = slot;
+            self.payloads[i] = Some(payload);
+            index
+        };
+        self.len += 1;
+        self.file(index);
+    }
+
+    /// Put the pending event in slot `index` into `due` when it is at
+    /// `base`, or else at the head of its bucket's chain.
+    #[inline]
+    fn file(&mut self, index: u32) {
+        let slot = &mut self.slots[index as usize];
+        let differ = slot.time.as_nanos() ^ self.base.as_nanos();
+        if differ == 0 {
+            self.due.push(Reverse((slot.key, slot.seq, index)));
+            return;
+        }
+        let i = (63 - differ.leading_zeros()) as usize;
+        let bucket = &mut self.buckets[i];
+        slot.next = bucket.head;
+        bucket.head = index;
+        bucket.earliest = bucket.earliest.min(slot.time);
+        self.occupied |= 1 << i;
     }
 
     /// Schedule `payload` after a relative delay from `now`.
@@ -163,18 +244,63 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next event without popping it.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        if !self.due.is_empty() {
+            return Some(self.base);
+        }
+        if self.occupied == 0 {
+            return None;
+        }
+        Some(self.buckets[self.occupied.trailing_zeros() as usize].earliest)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "event queue time went backwards");
+        let index = match self.due.pop() {
+            Some(Reverse((_, _, index))) => index,
+            None => self.open()?,
+        };
+        let i = index as usize;
+        let payload = self.payloads[i]
+            .take()
+            .expect("a pending slot holds its event");
+        self.slots[i].next = self.free;
+        self.free = index;
+        self.len -= 1;
+        let time = self.base;
+        debug_assert!(time >= self.now, "event queue time went backwards");
         // `max` keeps the clock monotone even if a release-mode
         // `fast_forward` jumped over a still-pending earlier event.
-        self.now = self.now.max(entry.time);
-        Some((entry.time, entry.payload))
+        self.now = self.now.max(time);
+        Some((time, payload))
+    }
+
+    /// Open the lowest non-empty bucket, `i`: its earliest time becomes
+    /// `base`, and each of its events lands in `due` or in a lower bucket,
+    /// since it shares the new `base`'s bits from `i` up. Returns the slot
+    /// of the event to pop next (taken out of `due` when the bucket held
+    /// more than one), or `None` when no event is pending.
+    fn open(&mut self) -> Option<u32> {
+        if self.occupied == 0 {
+            return None;
+        }
+        let i = self.occupied.trailing_zeros() as usize;
+        let Bucket { head, earliest } = std::mem::replace(&mut self.buckets[i], Bucket::EMPTY);
+        self.occupied &= !(1 << i);
+        self.base = earliest;
+        let mut next = self.slots[head as usize].next;
+        if next == NIL {
+            // The bucket's only event is the earliest: no tie to order.
+            return Some(head);
+        }
+        self.file(head);
+        while next != NIL {
+            let index = next;
+            next = self.slots[index as usize].next;
+            self.file(index);
+        }
+        self.due.pop().map(|Reverse((_, _, index))| index)
     }
 
     /// Advance the clock to `at` without delivering events.

@@ -8,8 +8,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`EventQueue`] — a deterministic future-event list with a stable tie
-//!   order for simultaneous events (the event's key, then FIFO) and
-//!   O(log n) scheduling,
+//!   order for simultaneous events (the event's key, then FIFO), kept as a
+//!   monotone radix queue over a slab of event slots, so an event is
+//!   written once, moved out once and re-filed only a few times between,
 //! * [`SimRng`] — a seedable, forkable random stream (SplitMix64 core) with
 //!   the distributions the substrates need (uniform, normal, exponential,
 //!   log-normal shadowing),

@@ -42,7 +42,9 @@ impl ScreenSource for SlideDeck {
         // Background hue varies per slide; bullet blocks vary in count.
         let bg = 0x2104u16.wrapping_add((slide as u16).wrapping_mul(0x1111));
         fb.clear(bg);
-        fb.fill_rect(32, 16, fb.width() - 64, 48, 0xFFFF); // title bar
+        // Title bar, 32 px in from each side: none on a screen 64 px wide
+        // or narrower.
+        fb.fill_rect(32, 16, fb.width().saturating_sub(64), 48, 0xFFFF);
         for bullet in 0..(slide % 5 + 1) {
             fb.fill_rect(48, 96 + bullet * 48, fb.width() / 2, 24, 0xC618);
         }
@@ -178,6 +180,26 @@ mod tests {
         s.render(at(500), &mut a);
         s.render(at(1_500), &mut b);
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn slides_render_on_narrow_screens_without_a_title() {
+        let mut s = SlideDeck::new(1.0);
+        for width in (16..=80).step_by(16) {
+            let mut f = Framebuffer::new(width, 240);
+            for slide in 0..6 {
+                s.render(at(slide * 1_000), &mut f);
+                let title = (0..f.height())
+                    .flat_map(|y| (0..width).map(move |x| (x, y)))
+                    .filter(|&(x, y)| f.get(x, y) == 0xFFFF)
+                    .count();
+                if width < 64 {
+                    assert_eq!(title, 0, "title pixels on a {width}-px screen");
+                } else {
+                    assert_eq!(title, (width - 64) * 48, "{width}-px title bar");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarise the samples that sampler.c wrote.
 
-Usage: report.py [--top N] [--children FUNC]... [--require FUNC:PCT]... FILE...
+Usage: report.py [--top N] [--within FUNC] [--children FUNC]... [--require FUNC:PCT]... FILE...
 
 Each FILE is one process's dump (`sampler.<pid>`); the report covers the
 one with the most samples. Every address is mapped to its module through
@@ -20,6 +20,10 @@ The report prints, as shares of all samples:
              each function it called directly (inlined calls included).
 FUNC matches any function whose name contains it. Each --require FUNC:PCT
 exits 1 unless the best-matching function's inclusive share exceeds PCT.
+With --within FUNC the report keeps only the samples with the best match of
+FUNC on the stack, and every table and --require reads as shares of those:
+`--within lpc_e2ebench::building::pass` leaves out the benchmark's
+yardstick and setup. The header names FUNC and its share of the process.
 """
 
 import argparse
@@ -134,6 +138,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("files", nargs="+")
     ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--within", metavar="FUNC")
     ap.add_argument("--children", action="append", default=[])
     ap.add_argument("--require", action="append", default=[])
     args = ap.parse_args()
@@ -149,6 +154,16 @@ def main():
     print(f"{path}: {total} samples over {cpu_s:.2f} CPU-s "
           f"({total / cpu_s:.0f} Hz delivered, {1e6 / head['interval_us']:.0f} Hz asked), "
           f"{head['dropped']} dropped; {len(dumps) - 1} other process dump(s) ignored")
+
+    if args.within:
+        n, func = best_match(collections.Counter(f for frames in expanded for f in set(frames)),
+                             args.within)
+        if func is None:
+            sys.exit(f"--within {args.within}: no sample")
+        expanded = [frames for frames in expanded if func in frames]
+        print(f"within {func}: {n} samples, {100 * n / total:.2f}% of the process; "
+              f"every share below is of these")
+        total = n
 
     exclusive = collections.Counter(frames[0] for frames in expanded)
     inclusive = collections.Counter()
