@@ -20,8 +20,9 @@
 //!
 //! The table also holds the environment's constants that the SINR and
 //! carrier-sense arithmetic would otherwise recompute on every call: the
-//! noise floor in mW and in dBm after the mW round trip, and the dB weight
-//! of each channel pair's spectral overlap.
+//! noise floor in mW and in dBm after the mW round trip, the dB weight of
+//! each channel pair's spectral overlap, and the dB rise of `k` equal
+//! powers over one, which [`LinkTable::sinr_bounds`] adds.
 
 use crate::frame::NodeId;
 use aroma_env::radio::{dbm_to_mw, mw_to_dbm, Channel, RadioEnvironment};
@@ -45,6 +46,8 @@ pub struct LinkTable {
     /// `10·log10(overlap)` by (tuned, other) channel number minus one;
     /// `None` where the channels do not overlap.
     overlap_db: [[Option<f64>; 11]; 11],
+    /// `10·log10(k + 1)` by interferer count `k`.
+    count_db: [f64; BOUNDED_INTERFERERS],
     /// Test-only reference: compute every link directly, as if no entry
     /// were ever stored.
     #[cfg(test)]
@@ -70,6 +73,7 @@ impl LinkTable {
             noise_mw,
             noise_dbm: mw_to_dbm(noise_mw),
             overlap_db,
+            count_db: std::array::from_fn(|k| 10.0 * ((k + 1) as f64).log10()),
             #[cfg(test)]
             direct: false,
         }
@@ -174,7 +178,62 @@ impl LinkTable {
         };
         mw_to_dbm(dbm_to_mw(signal_dbm)) - noise_dbm
     }
+
+    /// An interval `(lo, hi)` that holds [`LinkTable::sinr_db`] of a
+    /// `signal_dbm` carrier over the sum of `interferers` terms of
+    /// [`interference_mw`], the strongest received at `strongest_dbm` (−∞
+    /// when there are none), with no dBm–mW conversion:
+    ///
+    /// * `hi = max(S, −300) − noise + ε`: the numerator
+    ///   `mw_to_dbm(dbm_to_mw(S))` is `S` to within a few ulps while
+    ///   `dbm_to_mw(S)` is a normal float, far below −300 while it is
+    ///   subnormal, and −300 once it underflows to 0; the denominator
+    ///   `mw_to_dbm(noise_mw + I)` is at least the noise floor for any
+    ///   `I ≥ 0`.
+    /// * `lo = S − (max(noise, P_max) + 10·log10(K + 1)) − ε`: each term is
+    ///   at most its power in mW (its weight is at most 1), so
+    ///   `noise_mw + I` is at most `K + 1` times the larger of the noise
+    ///   and the strongest interferer. It is −∞ from 64 interferers up
+    ///   and for signals under −300 dBm.
+    ///
+    /// The slack `ε` covers the ulp-level error of `powf`, `log10` and the
+    /// sums many times over. A NaN signal or interferer (whose SINR is NaN)
+    /// and powers from 3,000 dBm up (where `dbm_to_mw` nears overflow) give
+    /// `(−∞, ∞)`.
+    pub fn sinr_bounds(
+        &self,
+        signal_dbm: f64,
+        interferers: usize,
+        strongest_dbm: f64,
+    ) -> (f64, f64) {
+        // True for a NaN too, which `f64::max` below would drop.
+        if !(signal_dbm < CEILING_DBM && strongest_dbm < CEILING_DBM) {
+            return (f64::NEG_INFINITY, f64::INFINITY);
+        }
+        let hi = signal_dbm.max(FLOOR_DBM) - self.noise_dbm + BOUND_SLACK_DB;
+        let lo = match self.count_db.get(interferers) {
+            Some(&rise) if signal_dbm >= FLOOR_DBM => {
+                signal_dbm - (self.noise_dbm.max(strongest_dbm) + rise) - BOUND_SLACK_DB
+            }
+            _ => f64::NEG_INFINITY,
+        };
+        (lo, hi)
+    }
 }
+
+/// Interferer counts below this get a finite lower bound from
+/// [`LinkTable::sinr_bounds`].
+const BOUNDED_INTERFERERS: usize = 64;
+
+/// Slack (dB) on each of [`LinkTable::sinr_bounds`]' bounds.
+const BOUND_SLACK_DB: f64 = 1e-6;
+
+/// `mw_to_dbm`'s floor: what a power of 0 mW reads.
+const FLOOR_DBM: f64 = -300.0;
+
+/// Powers from here up are left unbounded: `dbm_to_mw` overflows past
+/// about 3,082 dBm, and the bounds' sums must not.
+const CEILING_DBM: f64 = 3_000.0;
 
 /// One interferer's term of the SINR denominator, mW: its power at the
 /// receiver weighted by its (spectral × time) overlap, the way

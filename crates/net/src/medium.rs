@@ -8,13 +8,20 @@
 //! terminals (out of CS range but in interference range of the receiver)
 //! arise naturally. Every received power comes from the network's
 //! [`LinkTable`], which computes each link's path loss once per geometry.
+//!
+//! A receiver first asks [`Medium::sinr_bounds`] for an interval on its
+//! SINR: the wanted signal, how many transmissions interfere and the
+//! strongest of them, all link-table lookups and comparisons. Only when
+//! that interval cannot settle the loss draw does it ask
+//! [`Medium::sinr_for`], which converts every power to mW and sums the
+//! weighted interference. Both walk the same interferers.
 
 use crate::frame::{Frame, NodeId};
 use crate::links::{interference_mw, LinkTable};
 use crate::phy::{Rate, CS_THRESHOLD_DBM};
 use aroma_env::radio::Channel;
 use aroma_env::space::Point;
-use aroma_sim::SimTime;
+use aroma_sim::{SimDuration, SimTime};
 
 /// Identifier of one transmission on the medium, in registration order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -189,24 +196,66 @@ impl Medium {
             links.received_dbm(wanted.tx_dbm, wanted.src, wanted.src_pos, listener, pos);
         let dur = (wanted.end - wanted.start).as_secs_f64().max(1e-12);
         let mut interference = 0.0;
-        for t in &self.txs {
-            if t.id == of || t.src == listener {
-                continue;
-            }
-            let ov_start = t.start.max(wanted.start);
-            let ov_end = t.end.min(wanted.end);
-            if ov_end <= ov_start {
-                continue;
-            }
-            let spectral = wanted.channel.overlap(t.channel);
-            if spectral <= 0.0 {
-                continue;
-            }
-            let time_frac = (ov_end - ov_start).as_secs_f64() / dur;
+        for (t, spectral, overlap) in self.interferers(wanted, listener) {
+            let time_frac = overlap.as_secs_f64() / dur;
             let p_dbm = links.received_dbm(t.tx_dbm, t.src, t.src_pos, listener, pos);
             interference += interference_mw(p_dbm, spectral * time_frac.min(1.0));
         }
         Some(links.sinr_db(signal_dbm, interference))
+    }
+
+    /// An interval `(lo, hi)` that holds [`Medium::sinr_for`]'s answer for
+    /// the same arguments, from the link table's received powers alone (no
+    /// dBm–mW conversion, see [`LinkTable::sinr_bounds`]): the wanted
+    /// signal, how many transmissions interfere and the strongest of them.
+    /// `None` exactly when `sinr_for` is.
+    pub fn sinr_bounds(
+        &self,
+        links: &mut LinkTable,
+        of: TxId,
+        listener: NodeId,
+        pos: Point,
+    ) -> Option<(f64, f64)> {
+        let wanted = self.get(of)?;
+        let signal_dbm =
+            links.received_dbm(wanted.tx_dbm, wanted.src, wanted.src_pos, listener, pos);
+        let (mut count, mut strongest_dbm) = (0, f64::NEG_INFINITY);
+        for (t, ..) in self.interferers(wanted, listener) {
+            let p_dbm = links.received_dbm(t.tx_dbm, t.src, t.src_pos, listener, pos);
+            count += 1;
+            // Once NaN, `strongest_dbm` stays NaN.
+            if p_dbm > strongest_dbm || p_dbm.is_nan() {
+                strongest_dbm = p_dbm;
+            }
+        }
+        Some(links.sinr_bounds(signal_dbm, count, strongest_dbm))
+    }
+
+    /// The transmissions that interfere with `wanted` at `listener`, in
+    /// registration order, each with its spectral overlap and how long it
+    /// overlaps `wanted`: every one but `wanted` itself and the listener's
+    /// own that shares both time and spectrum with it. [`Medium::sinr_for`]
+    /// and [`Medium::sinr_bounds`] walk exactly these.
+    fn interferers<'a>(
+        &'a self,
+        wanted: &'a Transmission,
+        listener: NodeId,
+    ) -> impl Iterator<Item = (&'a Transmission, f64, SimDuration)> + 'a {
+        self.txs.iter().filter_map(move |t| {
+            if t.id == wanted.id || t.src == listener {
+                return None;
+            }
+            let ov_start = t.start.max(wanted.start);
+            let ov_end = t.end.min(wanted.end);
+            if ov_end <= ov_start {
+                return None;
+            }
+            let spectral = wanted.channel.overlap(t.channel);
+            if spectral <= 0.0 {
+                return None;
+            }
+            Some((t, spectral, ov_end - ov_start))
+        })
     }
 
     /// Was `listener` itself transmitting at any point during `[start, end)`?

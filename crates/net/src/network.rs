@@ -49,7 +49,7 @@ use crate::links::LinkTable;
 use crate::mac::{countdown_boundary, MacConfig, MacNode, MacState, TickPhase, TxJob};
 use crate::medium::{senses, Medium, Transmission, TxId};
 use crate::mobility::MobilityPath;
-use crate::phy::{airtime, packet_error_rate, Rate, RateAdaptation};
+use crate::phy::{airtime, loss_from_bounds, packet_error_rate, Rate, RateAdaptation};
 use aroma_env::radio::{Channel, RadioEnvironment};
 use aroma_env::space::Point;
 use aroma_sim::faults::{FaultOp, FaultSchedule};
@@ -627,6 +627,14 @@ struct Core {
     /// then folds in no skipped slot).
     #[cfg(test)]
     per_slot: bool,
+    /// Test-only reference: decide every reception from the exact SINR and
+    /// packet error rate, as if the bounds never settled one.
+    #[cfg(test)]
+    exact_reception: bool,
+    /// Test-only: receptions the bounds settled as certain losses, as
+    /// certain survivals, and left to the exact path.
+    #[cfg(test)]
+    settled: [u64; 3],
     wired: Vec<WiredLink>,
     /// Cable lookup by normalised `(min, max)` node pair — `wired_link` is
     /// on the per-frame send path, and a linear scan over ten thousand
@@ -1020,11 +1028,27 @@ impl Core {
             return false; // half duplex
         }
         let pos = self.links.position(rx);
-        let Some(sinr) = self.medium.sinr_for(&mut self.links, t.id, rx, pos) else {
+        let Some((lo, hi)) = self.medium.sinr_bounds(&mut self.links, t.id, rx, pos) else {
             return false;
         };
-        let per = packet_error_rate(t.rate, sinr, t.frame.wire_bits());
-        if self.rng.chance(per) {
+        // The PHY stream's draw for `chance(per)`, taken where it always
+        // was: the bounds settle it when every SINR in `[lo, hi]` gives
+        // the same answer, and the exact SINR and PER decide it otherwise.
+        let u = self.rng.uniform();
+        let bits = t.frame.wire_bits();
+        let settled = loss_from_bounds(t.rate, lo, hi, bits, u);
+        #[cfg(test)]
+        let settled = self.tally(settled);
+        let lost = match settled {
+            Some(lost) => lost,
+            None => {
+                let Some(sinr) = self.medium.sinr_for(&mut self.links, t.id, rx, pos) else {
+                    return false;
+                };
+                u < packet_error_rate(t.rate, sinr, bits).clamp(0.0, 1.0)
+            }
+        };
+        if lost {
             return false;
         }
         // Burst-loss window: an otherwise-successful reception is lost with
@@ -1036,6 +1060,15 @@ impl Core {
             }
         }
         true
+    }
+
+    /// Test-only: count how the bounds settled a reception (certain loss,
+    /// certain survival, or left to the exact path), and under
+    /// `exact_reception` leave every one to the exact path.
+    #[cfg(test)]
+    fn tally(&mut self, settled: Option<bool>) -> Option<bool> {
+        self.settled[settled.map_or(2, |lost| usize::from(!lost))] += 1;
+        settled.filter(|_| !self.exact_reception)
     }
 
     /// Is `src` still mid-transmission of exactly this frame? Always true
@@ -1456,6 +1489,10 @@ impl Network {
                 counting: Vec::new(),
                 #[cfg(test)]
                 per_slot: false,
+                #[cfg(test)]
+                exact_reception: false,
+                #[cfg(test)]
+                settled: [0; 3],
                 wired: Vec::new(),
                 wired_index: HashMap::new(),
                 prefer_wired: false,

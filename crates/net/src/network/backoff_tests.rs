@@ -1,12 +1,14 @@
 //! The event-driven backoff countdown against the per-slot loop it
 //! replaced, the link table against the direct computation it replaced,
-//! and the event loop's sampled self-profile against timing every event.
+//! the event loop's sampled self-profile against timing every event, and
+//! bounds-first reception against the exact SINR and PER it skips.
 //! `Core::per_slot` replays that loop: it also ticks every counting node
 //! at each of its slot boundaries, so every tick folds in no skipped slot.
 //! With it off, only a countdown's end and its wakes tick.
 //! `LinkTable::direct` computes every link's path loss afresh at every
-//! query, and `LoopProfile::every_event` times every event. Each reference
-//! must simulate the same run, event for event.
+//! query, `LoopProfile::every_event` times every event, and
+//! `Core::exact_reception` decides every reception the exact way. Each
+//! reference must simulate the same run, event for event.
 
 use super::*;
 use crate::traffic::{CountingSink, PoissonSource, SaturatedSource};
@@ -172,6 +174,27 @@ fn link_table_matches_the_direct_computation() {
         let direct = random_world(seed, |core| core.links.direct = true);
         assert_same(&table, &direct, &format!("world {seed}"));
     }
+}
+
+#[test]
+fn bounded_reception_matches_the_exact_decision() {
+    let mut settled = [0; 3];
+    for seed in 0..WORLDS {
+        let mut net = build_world(seed, |_| {});
+        net.run_until(HORIZON);
+        for (total, n) in settled.iter_mut().zip(net.core.settled) {
+            *total += n;
+        }
+        let bounded = finish(&net);
+        let exact = random_world(seed, |core| core.exact_reception = true);
+        assert_same(&bounded, &exact, &format!("world {seed}"));
+    }
+    // Certain losses, certain survivals and receptions left to the exact
+    // path all turned up, so the comparison covered each.
+    assert!(
+        settled.iter().all(|&n| n > 0),
+        "[lost, survived, exact] = {settled:?}"
+    );
 }
 
 /// Each event kind's `(name, calls)`, by name.

@@ -6,6 +6,14 @@
 //! SINR, worse for longer frames, stepwise-better for lower rates), and the
 //! numbers are chosen so sensitivities land near datasheet values
 //! (−94…−85 dBm over a −101 dBm noise floor).
+//!
+//! A reception's loss is decided by one uniform draw against
+//! [`packet_error_rate`]. Most draws are settled without it:
+//! [`loss_from_bounds`] answers from an interval on the SINR (the
+//! medium's `sinr_bounds`) whenever every SINR in the interval gives the
+//! same answer — a margin below zero always loses, and a draw at or above
+//! `per_max` of the interval's least margin always survives — and the
+//! exact computation runs only when it cannot.
 
 use aroma_sim::SimDuration;
 
@@ -113,6 +121,57 @@ pub fn packet_error_rate(rate: Rate, sinr_db: f64, bits: u64) -> f64 {
     1.0 - p_ok
 }
 
+/// `10⁻⁵·10⁻ʲ`: the per-bit error probability [`packet_error_rate`] takes
+/// at a margin of `5·j` dB, and so at least at any wider margin. Past the
+/// table's end its last entry still bounds it.
+const P_BIT_AT: [f64; 16] = [
+    1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 1e-17, 1e-18,
+    1e-19, 1e-20,
+];
+
+/// Relative slack on [`P_BIT_AT`]: it covers the rounding of each literal,
+/// of `⌊m/5⌋`, and of `packet_error_rate`'s `-margin / 5.0`, `powf` and
+/// product, all a few ulps at the margins the table covers.
+const P_BIT_SLACK: f64 = 1.0 + 1e-9;
+
+/// An upper bound on what [`packet_error_rate`] returns for a frame of
+/// `bits` at any margin of at least `margin_db ≥ 0` over the rate's
+/// threshold:
+///
+/// * the per-bit error probability is at most `p = 10⁻⁵·10^(−⌊m/5⌋)`;
+/// * the frame's is at most `n·p` for `n` bits, by Bernoulli's inequality
+///   `(1 − p)ⁿ ≥ 1 − n·p`;
+/// * plus `n·2⁻⁵² + 2⁻⁵⁰` for rounding: `1.0 − p_bit` is off by up to
+///   2⁻⁵⁴ (below about 2⁻⁵³ it rounds to a neighbour of 1, where the
+///   computed loss reads about `n·2⁻⁵³` however small `n·p` is), and
+///   `powf` and the final subtraction by a few ulps more.
+fn per_max(margin_db: f64, bits: u64) -> f64 {
+    // The cast saturates: an infinite margin reads the table's last entry.
+    let j = ((margin_db / 5.0) as usize).min(P_BIT_AT.len() - 1);
+    bits as f64 * (P_BIT_AT[j] * P_BIT_SLACK + f64::EPSILON) + 4.0 * f64::EPSILON
+}
+
+/// Is a frame of `bits` on `rate` lost, given an interval `[lo, hi]` that
+/// holds its SINR and the uniform draw `u` that decides it? The answer is
+/// `u < packet_error_rate(rate, sinr, bits).clamp(0.0, 1.0)` — what
+/// `SimRng::chance` decides with the same draw — for every SINR in the
+/// interval, or `None` when the interval leaves it open:
+///
+/// * `hi` under the rate's threshold: the margin is negative, the loss
+///   probability 1.0;
+/// * `lo` at or over it, and `u` at or over `per_max` of `lo`'s margin:
+///   the frame survives.
+pub fn loss_from_bounds(rate: Rate, lo: f64, hi: f64, bits: u64, u: f64) -> Option<bool> {
+    let threshold = rate.sinr_threshold_db();
+    if hi < threshold {
+        Some(u < 1.0)
+    } else if lo >= threshold && u >= per_max(lo - threshold, bits) {
+        Some(false)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,5 +255,174 @@ mod tests {
         // 11 Mbps needs 11 + 3 = 14 dB.
         assert_eq!(RateAdaptation::SnrBased.select(13.9), Rate::R5_5);
         assert_eq!(RateAdaptation::SnrBased.select(14.0), Rate::R11);
+    }
+
+    /// The decision `SimRng::chance(per)` makes with the draw `u`.
+    fn exact_loss(rate: Rate, sinr: f64, bits: u64, u: f64) -> bool {
+        u < packet_error_rate(rate, sinr, bits).clamp(0.0, 1.0)
+    }
+
+    /// Frame sizes from an ACK's bits to an MTU data frame's.
+    fn frame_bits() -> impl Strategy<Value = u64> {
+        use crate::frame::{ACK_BYTES, MAC_OVERHEAD_BYTES, MTU_BYTES};
+        let (ack, mtu) = (
+            ACK_BYTES as u64 * 8,
+            (MTU_BYTES + MAC_OVERHEAD_BYTES) as u64 * 8,
+        );
+        prop_oneof![Just(ack), Just(mtu), ack..=mtu]
+    }
+
+    /// Draws to try against a loss probability: uniform ones, 0, and one
+    /// ulp either side of the exact `per` and of the bound's `per_max`.
+    fn draws(uniform: f64, per: f64, bound: f64) -> impl Iterator<Item = f64> {
+        [
+            uniform,
+            0.0,
+            per.next_down(),
+            per,
+            per.next_up(),
+            bound.next_down(),
+            bound,
+            bound.next_up(),
+        ]
+        .into_iter()
+        .filter(|u| (0.0..1.0).contains(u))
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whenever `loss_from_bounds` answers, it answers what the exact
+        /// PER gives every SINR in the interval (both ends, the middle and
+        /// a random point): every rate, ACK to MTU frames, intervals from
+        /// a point to 20 dB wide, margins at 0, below it, and around
+        /// 50–62 dB, where `1 − p_bit` rounds to a neighbour of 1.
+        #[test]
+        fn bounded_loss_is_every_exact_decision_in_the_interval(
+            rate in 0usize..4,
+            bits in frame_bits(),
+            margin in prop_oneof![Just(0.0), -1e-9..1e-9, -3.0..3.0, 0.0..100.0, 50.0..62.0, -40.0..0.0],
+            below in prop_oneof![Just(0.0), 0.0..1e-6, 0.0..20.0],
+            above in prop_oneof![Just(0.0), 0.0..1e-6, 0.0..20.0],
+            at in 0.0f64..=1.0,
+            uniform in 0.0f64..1.0,
+        ) {
+            let rate = Rate::ALL[rate];
+            let threshold = rate.sinr_threshold_db();
+            let (lo, hi) = (threshold + margin - below, threshold + margin + above);
+            let bound = per_max(lo - threshold, bits);
+            for sinr in [lo, hi, (lo + hi) / 2.0, lo + (hi - lo) * at] {
+                let per = packet_error_rate(rate, sinr, bits);
+                for u in draws(uniform, per, bound) {
+                    if let Some(lost) = loss_from_bounds(rate, lo, hi, bits, u) {
+                        prop_assert_eq!(
+                            lost,
+                            exact_loss(rate, sinr, bits, u),
+                            "rate {:?}, bits {}, [{}, {}] at {}, u {}",
+                            rate, bits, lo, hi, sinr, u
+                        );
+                    }
+                }
+            }
+        }
+
+        /// `LinkTable::sinr_bounds` holds `LinkTable::sinr_db`, and the
+        /// draw it settles is the exact one, for signals in and far out of
+        /// the usual range (at and below the −300 dBm floor, ±∞, NaN), for
+        /// interferers likewise, and for counts past the bounded table.
+        #[test]
+        fn link_table_bounds_hold_the_sinr_and_settle_it_exactly(
+            signal in prop_oneof![
+                -130.0f64..20.0,
+                -130.0f64..20.0,
+                -130.0f64..20.0,
+                prop_oneof![
+                    Just(-300.0), -400.0f64..-300.0, -3500.0f64..-3000.0,
+                    Just(f64::NEG_INFINITY), Just(f64::INFINITY), Just(f64::NAN),
+                ],
+            ],
+            interferers in prop_oneof![
+                prop::collection::vec(interferer(), 0..8),
+                prop::collection::vec(interferer(), 60..70),
+            ],
+            rise in 0.0f64..15.0,
+            rate in 0usize..4,
+            bits in frame_bits(),
+            uniform in 0.0f64..1.0,
+        ) {
+            use crate::links::{interference_mw, LinkTable};
+            use aroma_env::radio::RadioEnvironment;
+            let table = LinkTable::new(RadioEnvironment {
+                ambient_noise_rise_db: rise,
+                ..RadioEnvironment::default()
+            });
+            let (mut sum, mut strongest) = (0.0, f64::NEG_INFINITY);
+            for &(p_dbm, overlap) in &interferers {
+                sum += interference_mw(p_dbm, overlap);
+                if p_dbm > strongest || p_dbm.is_nan() {
+                    strongest = p_dbm;
+                }
+            }
+            let sinr = table.sinr_db(signal, sum);
+            let (lo, hi) = table.sinr_bounds(signal, interferers.len(), strongest);
+            if sinr.is_nan() {
+                prop_assert_eq!((lo, hi), (f64::NEG_INFINITY, f64::INFINITY));
+            } else {
+                prop_assert!(lo <= sinr && sinr <= hi, "{} <= {} <= {}", lo, sinr, hi);
+            }
+            let rate = Rate::ALL[rate];
+            let per = packet_error_rate(rate, sinr, bits);
+            let bound = per_max(lo - rate.sinr_threshold_db(), bits);
+            for u in draws(uniform, per, bound) {
+                if let Some(lost) = loss_from_bounds(rate, lo, hi, bits, u) {
+                    prop_assert_eq!(lost, exact_loss(rate, sinr, bits, u), "sinr {} in [{}, {}], u {}", sinr, lo, hi, u);
+                }
+            }
+        }
+    }
+
+    /// An interferer's received power (usual, far below the floor, ±∞ or
+    /// NaN) and its weight in `[0, 1]`.
+    fn interferer() -> impl Strategy<Value = (f64, f64)> {
+        let power = prop_oneof![
+            -130.0f64..0.0,
+            -130.0f64..0.0,
+            -130.0f64..0.0,
+            -130.0f64..0.0,
+            -130.0f64..0.0,
+            -130.0f64..0.0,
+            -130.0f64..0.0,
+            prop_oneof![
+                -400.0f64..-300.0,
+                Just(f64::NEG_INFINITY),
+                Just(f64::INFINITY),
+                Just(f64::NAN),
+            ],
+        ];
+        (power, prop_oneof![Just(1.0), 0.0f64..=1.0])
+    }
+
+    #[test]
+    fn bounds_settle_clear_links_and_leave_the_edge_open() {
+        let bits = 8 * 1500;
+        // Far under the threshold: lost whatever the draw.
+        assert_eq!(
+            loss_from_bounds(Rate::R11, -20.0, 5.0, bits, 0.999),
+            Some(true)
+        );
+        // 30 dB over it: survives any draw over the bound.
+        assert_eq!(
+            loss_from_bounds(Rate::R11, 41.0, 60.0, bits, 0.5),
+            Some(false)
+        );
+        assert_eq!(loss_from_bounds(Rate::R11, 41.0, 60.0, bits, 1e-12), None);
+        // An interval across the threshold settles nothing.
+        assert_eq!(loss_from_bounds(Rate::R11, 10.0, 12.0, bits, 0.5), None);
+        // The bound decreases with the margin and grows with the frame.
+        assert!(per_max(10.0, bits) < per_max(0.0, bits));
+        assert!(per_max(10.0, 112) < per_max(10.0, bits));
+        assert_eq!(per_max(f64::INFINITY, bits), per_max(1e6, bits));
     }
 }

@@ -324,6 +324,9 @@ proptest! {
     /// medium reads its powers from a link table that knows the six nodes
     /// (senders at home hit it), the mirror from a table that knows none,
     /// and both SINRs must equal `sinr_reference` over every transmission.
+    /// `sinr_bounds` must agree between the two and hold that SINR: the
+    /// random channels give partial spectral overlaps, and the bounds and
+    /// `sinr_for` must walk the same interferers.
     #[test]
     fn sinr_and_half_duplex_match_a_never_pruned_mirror(
         ops in prop::collection::vec(
@@ -365,6 +368,15 @@ proptest! {
                     assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
                     let reference = sinr_reference(all, &env, t, rx, pos);
                     assert_eq!(got.map(f64::to_bits), Some(reference.to_bits()));
+                    // The bounds walk the same interferers, and hold the SINR.
+                    let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+                    let bounds = medium.sinr_bounds(&mut links, t.id, rx, pos);
+                    assert_eq!(
+                        bounds.map(bits),
+                        mirror.sinr_bounds(&mut direct, t.id, rx, pos).map(bits)
+                    );
+                    let (lo, hi) = bounds.unwrap();
+                    assert!(lo <= reference && reference <= hi, "{lo} <= {reference} <= {hi}");
                     assert_eq!(
                         medium.was_transmitting(rx, t.start, t.end),
                         mirror.was_transmitting(rx, t.start, t.end)

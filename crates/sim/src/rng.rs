@@ -179,9 +179,18 @@ impl SimRng {
 }
 
 /// Stable 64-bit FNV-1a hash (used for string-labelled forks and for tile
-/// digests in `aroma-vnc`; kept here so the constant lives in one place).
+/// digests in `aroma-vnc`; kept here so the constants live in one place).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    fnv1a_fold(FNV1A_BASIS, bytes)
+}
+
+/// FNV-1a's offset basis: the hash of no bytes.
+pub const FNV1A_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Continue the FNV-1a state `h` over `bytes`: folding a byte string piece
+/// by piece from [`FNV1A_BASIS`] gives what [`fnv1a`] gives for the whole.
+#[inline]
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01B3);

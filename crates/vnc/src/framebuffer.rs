@@ -1,6 +1,6 @@
 //! RGB565 framebuffer with tile-level change tracking.
 
-use aroma_sim::rng::fnv1a;
+use aroma_sim::rng::{fnv1a_fold, FNV1A_BASIS};
 
 /// Tile edge length in pixels (16×16, as in VNC's hextile encoding).
 pub const TILE: usize = 16;
@@ -178,19 +178,33 @@ impl Framebuffer {
             .collect()
     }
 
-    /// Whole-screen content digest.
+    /// Whole-screen content digest: FNV-1a over each pixel's two
+    /// little-endian bytes, in order, folded straight from the pixels.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(self.pixels.len() * 2);
-        for &px in &self.pixels {
-            bytes.extend_from_slice(&px.to_le_bytes());
-        }
-        fnv1a(&bytes)
+        self.pixels
+            .iter()
+            .fold(FNV1A_BASIS, |h, px| fnv1a_fold(h, &px.to_le_bytes()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aroma_sim::rng::fnv1a;
+    use aroma_sim::SimRng;
+
+    #[test]
+    fn digest_is_fnv1a_over_the_little_endian_pixel_bytes() {
+        let mut rng = SimRng::new(26);
+        for (w, h) in [(16, 16), (48, 32), (320, 240), (640, 480)] {
+            let mut fb = Framebuffer::new(w, h);
+            for px in &mut fb.pixels {
+                *px = rng.next_u64_raw() as u16;
+            }
+            let bytes: Vec<u8> = fb.pixels.iter().flat_map(|px| px.to_le_bytes()).collect();
+            assert_eq!(fb.digest(), fnv1a(&bytes), "{w}×{h}");
+        }
+    }
 
     #[test]
     fn construction_and_geometry() {
